@@ -9,7 +9,8 @@ into device operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from repro.cache.block import CacheBlock
 from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
@@ -129,6 +130,21 @@ class CacheStore:
     def peek(self, lba: int) -> Optional[CacheBlock]:
         """Lookup without stats or recency update."""
         return self._set_for(lba).entries.get(lba)
+
+    def first_clean(self, lbas: Iterable[int], limit: int) -> Optional[int]:
+        """The first resident, clean LBA among the first ``limit`` of ``lbas``.
+
+        Like :meth:`peek`, it counts no stats and updates no recency.
+        Quota recycling scans a tenant's oldest blocks with it for a
+        victim that needs no write-back: one call, not a ``peek`` each.
+        """
+        sets = self._sets
+        num_sets = self.num_sets
+        for lba in islice(lbas, limit):
+            block = sets[lba % num_sets].entries.get(lba)
+            if block is not None and not block.dirty:
+                return lba
+        return None
 
     def insert(
         self, lba: int, now: float, dirty: bool = False

@@ -181,14 +181,7 @@ class QuotaAllocator:
         owned = self._owned.get(tenant_id)
         if not owned:
             return False
-        victim = None
-        for i, old_lba in enumerate(owned):
-            if i >= self.recycle_scan_limit:
-                break
-            block = self.store.peek(old_lba)
-            if block is not None and not block.dirty:
-                victim = old_lba
-                break
+        victim = self.store.first_clean(owned, self.recycle_scan_limit)
         if victim is None:
             return False
         self.store.invalidate(victim)

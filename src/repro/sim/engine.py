@@ -21,10 +21,10 @@ so its constant factors dominate whole-run wall clock):
 - :meth:`schedule_sorted_at` batch-schedules pre-sorted arrival scripts
   (e.g. trace replay): on an empty calendar a sorted list *is* a valid
   heap, so the whole batch is appended in O(n) with no sift churn.
-- :meth:`schedule_sorted_calls` is the arrival pre-generator's variant:
+- :meth:`schedule_sorted_calls` is streaming trace replay's variant:
   the whole batch shares ONE cancellable :class:`Event`, so a chunk of
-  pre-drawn arrivals costs one allocation and can be revoked wholesale
-  (throttle rollback, tenant departure) with a single ``cancel()``.
+  trace arrivals costs one allocation and can be revoked wholesale with
+  a single ``cancel()``.
 - :meth:`schedule_calls` batch-inserts a dispatch round's completions;
   :meth:`run` drains runs of equal-timestamp entries without re-entering
   the loop header.  Neither changes observable order: entries still pop
@@ -210,8 +210,8 @@ class Simulator:
     ) -> Event:
         """Batch-schedule pre-sorted triples behind one shared event.
 
-        The arrival pre-generator's fast path: a chunk of pre-drawn
-        arrivals is inserted in one call, and the single returned
+        Streaming trace replay's fast path: a chunk of trace arrivals
+        is inserted in one call, and the single returned
         :class:`Event` controls the *whole batch* — cancelling it lazily
         deletes every entry still in the calendar (entries already
         dispatched are unaffected).  Entries consume consecutive

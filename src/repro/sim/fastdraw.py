@@ -1,11 +1,12 @@
 """Bitwise replication of ``numpy.random.Generator`` scalar draws.
 
-The arrival pre-generator (:mod:`repro.workloads.base`) wants to draw a
-whole chunk of arrivals in one go, but the golden fingerprints pin the
-*exact* scalar draw sequence of the open-loop path: ``rng.random()``,
-``rng.integers(...)``, and ``rng.exponential(...)`` interleave in a
-data-dependent order (the write-fraction draw decides which pattern
-samples next), so no vectorized numpy call can reproduce the stream.
+The workload arrival loop (:mod:`repro.workloads.base`) makes a few
+scalar draws per request, and the golden fingerprints pin their *exact*
+sequence: ``rng.random()``, ``rng.integers(...)``, and
+``rng.exponential(...)`` interleave in a data-dependent order (the
+write-fraction draw decides which pattern samples next), so no
+vectorized numpy call can reproduce the stream, and each scalar
+``Generator`` call costs far more than the arithmetic behind it.
 
 What *can* be batched is the raw entropy.  :class:`RawDraws` prefetches
 blocks of 64-bit PCG64 output (``BitGenerator.random_raw``) and decodes
@@ -19,17 +20,16 @@ the same transformations numpy applies to them:
   ziggurat, with numpy's exact ``ke``/``we``/``fe`` tables embedded
   below and the ``log1p`` tail branch.
 
-Because every decode is bit-for-bit the draw the ``Generator`` would
-have made, a chunk can be *rolled back*: :meth:`RawDraws.park` rewinds
-the real bit generator to any recorded draw position (state snapshot +
-``advance`` + half-word carry restore), after which scalar draws
-continue as if the pre-generation never happened.
+Every decode is bit for bit the draw the ``Generator`` would have made,
+so a workload holds one :class:`RawDraws` for its whole run in place of
+the ``Generator``.  The decoder reads up to one block ahead of the draws
+it has served, so nothing else may draw from the same bit generator.
 
 Trust, but verify: :func:`replication_verified` cross-checks a scripted
 mix of draws against a live ``Generator`` once per process and the
-callers fall back to scalar draws if the installed numpy disagrees (a
-different bit generator, changed ziggurat constants, a new bounded-
-integer algorithm).  The check costs ~15 ms once and turns a silent
+callers draw from the ``Generator`` itself if the installed numpy
+disagrees (a different bit generator, changed ziggurat constants, a new
+bounded-integer algorithm).  The check costs ~15 ms once and turns a silent
 fingerprint divergence into a plain performance regression.
 """
 
@@ -190,19 +190,17 @@ class RawDraws:
 
     Args:
         bit_generator: The *live* ``numpy.random.PCG64`` behind the
-            generator being replicated.  Prefetching advances it; call
-            :meth:`park` when done to leave it exactly where the
-            equivalent scalar draws would have.
+            generator being replicated.  Prefetching advances it past
+            the draws served so far, so nothing else may draw from it.
         block: Words fetched per ``random_raw`` call.
 
     Attributes:
-        words_used: 64-bit words consumed by decodes so far.
         has32: Whether a 32-bit half-word is buffered (numpy's
             ``has_uint32`` carry for bounded-integer draws).
         carry32: The buffered half-word.
     """
 
-    __slots__ = ("_bg", "_buf", "_len", "_pos", "_block", "words_used", "has32", "carry32")
+    __slots__ = ("_bg", "_buf", "_len", "_pos", "_block", "has32", "carry32")
 
     def __init__(self, bit_generator: Any, block: int = 1024) -> None:
         state = bit_generator.state
@@ -213,7 +211,6 @@ class RawDraws:
         self._buf: list[int] = []
         self._len = 0
         self._pos = 0
-        self.words_used = 0
         # Seed the half-word buffer from the generator's own carry: a
         # prior scalar integers() draw may have left one behind.
         self.has32 = bool(state["has_uint32"])
@@ -228,7 +225,6 @@ class RawDraws:
             self._len = len(buf)
             pos = 0
         self._pos = pos + 1
-        self.words_used += 1
         word: int = self._buf[pos]
         return word
 
@@ -253,7 +249,6 @@ class RawDraws:
             self._len = len(self._buf)
             pos = 0
         self._pos = pos + 1
-        self.words_used += 1
         return (self._buf[pos] >> 11) * _INV53
 
     def integers(self, low: int, high: int) -> int:
@@ -293,7 +288,6 @@ class RawDraws:
                 self._len = len(self._buf)
                 pos = 0
             self._pos = pos + 1
-            self.words_used += 1
             ri = self._buf[pos] >> 3
             idx = ri & 0xFF
             ri >>= 8
@@ -309,30 +303,6 @@ class RawDraws:
         """``Generator.exponential(scale)``."""
         return scale * self.standard_exponential()
 
-    # -- stream positioning --------------------------------------------
-    def position(self) -> tuple[int, bool, int]:
-        """The current decode position: ``(words_used, has32, carry32)``."""
-        return (self.words_used, self.has32, self.carry32)
-
-    @staticmethod
-    def park(bit_generator: Any, base_state: dict[str, Any], position: tuple[int, bool, int]) -> None:
-        """Place ``bit_generator`` exactly ``position`` draws past ``base_state``.
-
-        ``base_state`` is the full state dict snapshot taken before the
-        :class:`RawDraws` instance consumed any words.  After parking,
-        scalar ``Generator`` draws continue bit-identically to a run
-        that made every decoded draw the slow way — including the
-        half-word carry of an odd bounded-integer draw.
-        """
-        words, has32, carry = position
-        bit_generator.state = base_state
-        if words:
-            bit_generator.advance(words)
-        state = bit_generator.state
-        state["has_uint32"] = int(has32)
-        state["uinteger"] = int(carry)
-        bit_generator.state = state
-
 
 # ----------------------------------------------------------------------
 # Self-verification
@@ -347,7 +317,6 @@ def _run_verification() -> bool:
     for seed in (0xC0FFEE, 20190325):
         ref = np.random.Generator(np.random.PCG64(seed))
         bg = np.random.PCG64(seed)
-        base = bg.state
         raw = RawDraws(bg, block=64)
         # A draw mix shaped like the arrival loop: uniform doubles,
         # bounded integers (odd counts, to exercise the carry), and
@@ -367,17 +336,6 @@ def _run_verification() -> bool:
         for _ in range(4_000):
             if float(ref.standard_exponential()) != raw.standard_exponential():
                 return False
-        # Park round-trip: the parked generator must continue exactly
-        # like the reference from here on.
-        RawDraws.park(bg, base, raw.position())
-        cont = np.random.Generator(bg)
-        for span in spans:
-            if float(cont.random()) != float(ref.random()):
-                return False
-            if int(cont.integers(0, span)) != int(ref.integers(0, span)):
-                return False
-            if float(cont.exponential(0.5)) != float(ref.exponential(0.5)):
-                return False
     return True
 
 
@@ -385,7 +343,7 @@ def replication_verified() -> bool:
     """Whether this process's numpy reproduces :class:`RawDraws` exactly.
 
     Computed once and cached; on any mismatch (or any exception) the
-    pre-generation callers stay on the scalar path.
+    callers draw from the ``Generator`` itself.
     """
     global _verified
     if _verified is None:

@@ -191,9 +191,13 @@ def _phase_from_spec(
     )
     size: Any = spec.get("size_blocks", 1)
     if isinstance(size, list):
-        choices = [int(c) for c, _ in size]
-        probs = [float(p) for _, p in size]
-        size = (choices, probs)
+        try:
+            size = ([c for c, _ in size], [float(p) for _, p in size])
+        except (TypeError, ValueError):
+            raise SpecError(
+                f"{context}: size_blocks must be an int or a list of "
+                "[blocks, probability] pairs"
+            ) from None
     phase = PhaseSpec(
         label=str(spec.get("label", f"phase{index}")),
         n_intervals=int(_require(spec, "n_intervals", context)),
@@ -208,7 +212,10 @@ def _phase_from_spec(
         size_blocks=size,
         burst=bool(spec.get("burst", False)),
     )
-    phase.validate()
+    try:
+        phase.validate()
+    except ValueError as exc:
+        raise SpecError(f"{context}: {exc}") from None
     return phase
 
 

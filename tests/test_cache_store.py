@@ -31,6 +31,26 @@ class TestConstruction:
             CacheStore(8, associativity=8, replacement="magic")
 
 
+class TestFirstClean:
+    def test_first_resident_clean_block_in_given_order(self):
+        store = CacheStore(64)
+        store.insert(1, 0.0, dirty=True)
+        store.insert(2, 0.0)
+        store.insert(3, 0.0)
+        # 9 is not resident and 1 is dirty: 2 is the first candidate.
+        assert store.first_clean([9, 1, 2, 3], limit=4) == 2
+        assert store.first_clean([3, 2], limit=4) == 3
+        assert store.stats.lookups == 0
+
+    def test_limit_bounds_the_scan(self):
+        store = CacheStore(64)
+        store.insert(1, 0.0, dirty=True)
+        store.insert(2, 0.0)
+        assert store.first_clean([1, 2], limit=1) is None
+        assert store.first_clean([1, 2], limit=2) == 2
+        assert store.first_clean([], limit=4) is None
+
+
 class TestLookupInsert:
     def test_miss_then_hit(self):
         store = CacheStore(64)

@@ -1,11 +1,49 @@
 """Integration tests: the wired system, runner, and scheme behaviours."""
 
+import gc
+
 import pytest
 
 from repro.cache.write_policy import WritePolicy
-from repro.config import quick_config
+from repro.config import paper_config, quick_config
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.system import SCHEMES, WORKLOADS, ExperimentSystem
+
+
+class TestNoCyclicGarbage:
+    """A run leaves nothing for the cyclic collector to find.
+
+    ``Simulator.run`` pauses the collector, so a reference cycle made
+    during a run would stay in memory until the run ends.  With the
+    collector paused throughout, a run must leave no unreachable objects.
+    """
+
+    @staticmethod
+    def _garbage_after_run(workload, scheme, horizon_intervals=None):
+        config = paper_config(1)
+        until = None
+        if horizon_intervals is not None:
+            until = horizon_intervals * config.interval_us
+        gc.collect()
+        gc.disable()
+        try:
+            system = ExperimentSystem.build(
+                workload, scheme, config, trace_records=False
+            )
+            result = system.run(until_us=until)
+            assert result.completed > 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_tpcc_lbica_run(self):
+        assert self._garbage_after_run("tpcc", "lbica") == 0
+
+    def test_short_consolidated3_dynshare_run(self):
+        garbage = self._garbage_after_run(
+            "consolidated3", "dynshare", horizon_intervals=40
+        )
+        assert garbage == 0
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
-"""Unit tests for the raw-word draw replication (repro.sim.fastdraw).
+"""Unit tests for the raw-word draw decoder (repro.sim.fastdraw).
 
 Two layers: draw-for-draw checks of :class:`RawDraws` against a live
-``numpy.random.Generator``, and end-to-end equivalence of the chunked
-arrival pre-generator against the scalar path it replaces (same
-scenario, ``pregen_enabled`` flipped, identical stats fingerprints).
+``numpy.random.Generator``, and end-to-end equivalence of the decoded
+arrival path against the ``Generator`` path (same scenario, decoding
+switched off, identical stats fingerprints).
 """
 
 import numpy as np
@@ -14,8 +14,8 @@ from repro.scenario import get_scenario
 from repro.scenario.fingerprint import stats_fingerprint
 from repro.sim.engine import Simulator
 from repro.sim.fastdraw import RawDraws, replication_verified
-from repro.workloads.access_patterns import UniformPattern
-from repro.workloads.base import PhaseSpec, Workload
+from repro.workloads import base as workload_base
+from repro.workloads.spec import workload_from_spec
 
 
 def _pair(seed: int, block: int = 64):
@@ -60,30 +60,6 @@ class TestRawDraws:
             else:
                 assert raw.exponential(3.0) == float(ref.exponential(3.0))
 
-    def test_park_roundtrip_continues_scalar_stream(self):
-        ref, bg, raw = _pair(42)
-        base = bg.state
-        for _ in range(333):
-            assert raw.random() == ref.random()
-        RawDraws.park(bg, base, raw.position())
-        cont = np.random.Generator(bg)
-        assert [float(cont.random()) for _ in range(100)] == [
-            float(ref.random()) for _ in range(100)
-        ]
-
-    def test_park_restores_halfword_carry(self):
-        # An odd number of 32-bit bounded draws leaves half a word
-        # buffered; the park must hand that carry back to numpy.
-        ref, bg, raw = _pair(5150)
-        base = bg.state
-        for _ in range(7):
-            assert raw.integers(0, 1000) == int(ref.integers(0, 1000))
-        assert raw.has32  # precondition: a carry is actually pending
-        RawDraws.park(bg, base, raw.position())
-        cont = np.random.Generator(bg)
-        for _ in range(20):
-            assert int(cont.integers(0, 1000)) == int(ref.integers(0, 1000))
-
     def test_inherits_existing_halfword_carry(self):
         # A generator mid-stream (odd bounded draw already made) must be
         # picked up carry and all.
@@ -100,102 +76,87 @@ class TestRawDraws:
             RawDraws(np.random.MT19937(3))
 
     def test_replication_verified_on_this_numpy(self):
-        # The installed numpy must pass the cross-check — otherwise the
-        # simulator silently runs the slow path and the equivalence
-        # tests below are vacuous.
+        # The installed numpy must pass the cross-check — otherwise every
+        # workload silently draws through the Generator and the
+        # equivalence tests below are vacuous.
         assert replication_verified()
 
 
-class TestPregenEquivalence:
-    """Chunked pre-generation must be invisible in every statistic."""
+class TestDecodedEquivalence:
+    """Decoding the draws must be invisible in every statistic."""
 
-    def _fingerprint(self, scenario: str) -> dict:
-        result = get_scenario(scenario).run(config=quick_config(7))
-        return stats_fingerprint(result)
+    #: Scenario -> run length in monitoring intervals (None: the script).
+    HORIZONS = {
+        # One VM: the open-loop arrival chain.
+        "fig4_single_vm": None,
+        # A tenant arrives and another departs mid-run.
+        "churn_consolidated": 60,
+        # Three VMs held at their concurrency bound: throttle and resume.
+        "consolidated3_dynshare": 60,
+    }
 
-    @pytest.mark.parametrize(
-        "scenario",
-        [
-            # Single VM: the plain open-loop fast path.
-            "fig4_single_vm",
-            # Multi-tenant with arrivals/departures mid-run: chunk
-            # rollback on tenant departure plus closed-loop phases.
-            "churn_consolidated",
-        ],
-    )
-    def test_chunked_matches_scalar_path(self, scenario, monkeypatch):
-        chunked = self._fingerprint(scenario)
-        monkeypatch.setattr(Workload, "pregen_enabled", False)
-        scalar = self._fingerprint(scenario)
-        assert chunked == scalar
+    def _run(self, scenario):
+        """The run's stats fingerprint and its workloads' draw-source types."""
+        config = quick_config(7)
+        system = get_scenario(scenario).build(config, trace_records=False)
+        horizon = self.HORIZONS[scenario]
+        until = None if horizon is None else horizon * config.interval_us
+        result = system.run(until_us=until)
+        tenants = getattr(system.workload, "children", [system.workload])
+        sources = {type(w._draws) for w in tenants}
+        return stats_fingerprint(result), sources
 
-    def _saturated_run(self, wl):
-        """Drive ``wl`` closed-loop at saturation; returns arrival times.
+    @pytest.mark.parametrize("scenario", sorted(HORIZONS))
+    def test_decoded_matches_numpy_path(self, scenario, monkeypatch):
+        decoded, decoded_sources = self._run(scenario)
+        monkeypatch.setattr(workload_base, "replication_verified", lambda: False)
+        reference, reference_sources = self._run(scenario)
+        assert decoded_sources == {RawDraws}
+        assert reference_sources == {np.random.Generator}
+        assert decoded == reference
 
-        Completions lag arrivals badly (100 µs service vs ~10 µs gaps),
-        so the concurrency bound is pinned and every resume delivers
-        only a couple of arrivals before throttling again.
-        """
+    def test_size_distribution_keeps_numpy_generator(self):
+        # Generator.choice is not decoded, so a size distribution keeps
+        # the Generator as the draw source: nothing is read ahead, and the
+        # arrivals follow the scalar draw sequence exactly.
+        spec = {
+            "name": "mixed_sizes",
+            "phases": [
+                {
+                    "n_intervals": 4,
+                    "rate_iops": 5000,
+                    "write_frac": 0.3,
+                    "size_blocks": [[1, 0.75], [8, 0.25]],
+                    "read_pattern": {"kind": "zipf", "start": 0, "span": 256},
+                    "write_pattern": {"kind": "uniform", "start": 1024, "span": 64},
+                }
+            ],
+        }
+        wl = workload_from_spec(spec, interval_us=10_000.0)
+        rng = np.random.default_rng(11)
         sim = Simulator()
-        times = []
+        got = []
 
         def submit(req):
-            times.append(req.arrival)
-            sim.schedule_call(100.0, wl.on_request_complete, req)
+            got.append((req.arrival, req.lba, req.nblocks, req.is_write))
+            wl.on_request_complete(req)
 
-        wl.bind(sim, submit, np.random.default_rng(2019))
+        wl.bind(sim, submit, rng)
+        assert wl._draws is rng
         sim.run(until=wl.duration_us)
-        return times
 
-    def _closed_loop_workload(self):
-        return Workload(
-            "t",
-            [
-                PhaseSpec(
-                    label="sat",
-                    n_intervals=4,
-                    rate_iops=100_000.0,
-                    write_frac=0.5,
-                    pattern_read=UniformPattern(0, 1000),
-                )
-            ],
-            interval_us=10_000.0,
-            max_outstanding=4,
-        )
-
-    def test_saturated_closed_loop_abandons_pregen(self, monkeypatch):
-        # Each throttle-abort discards a mostly-unconsumed chunk; after
-        # pregen_max_strikes in a row the instance must go scalar so a
-        # backpressured workload never refills chunks per completion.
-        fills = []
-        orig_fill = Workload._fill_chunk
-        monkeypatch.setattr(
-            Workload,
-            "_fill_chunk",
-            lambda self, t0, f0: fills.append(t0) or orig_fill(self, t0, f0),
-        )
-        wl = self._closed_loop_workload()
-        times = self._saturated_run(wl)
-        assert wl.stats.throttled > Workload.pregen_max_strikes
-        assert not wl._pregen  # opted out
-        assert len(fills) <= Workload.pregen_max_strikes
-        assert len(times) > 100  # the run itself kept going, scalar
-
-    def test_fallback_stream_matches_scalar_path(self, monkeypatch):
-        chunked = self._saturated_run(self._closed_loop_workload())
-        monkeypatch.setattr(Workload, "pregen_enabled", False)
-        scalar = self._saturated_run(self._closed_loop_workload())
-        assert chunked == scalar
-
-    def test_pregen_gate_respects_class_flag(self, monkeypatch):
-        monkeypatch.setattr(Workload, "pregen_enabled", False)
-        system = get_scenario("fig4_single_vm").build(quick_config(7))
-        workloads = system.workloads if hasattr(system, "workloads") else None
-        # Whatever the container shape, every bound workload must have
-        # declined pre-generation.
-        bound = (
-            list(workloads.values())
-            if isinstance(workloads, dict)
-            else list(workloads or [system.workload])
-        )
-        assert bound and all(not w._pregen for w in bound)
+        ref = np.random.default_rng(11)
+        phase = wl.phases[0]
+        mean_gap = 1e6 / phase.rate_iops
+        expected = []
+        t = ref.exponential(mean_gap)
+        while t < wl.duration_us:
+            is_write = ref.random() < phase.write_frac
+            pattern = phase.write_pattern if is_write else phase.pattern_read
+            lba = pattern.sample(ref)
+            nblocks = int(ref.choice([1, 8], p=[0.75, 0.25]))
+            expected.append((t, lba, nblocks, is_write))
+            t += ref.exponential(mean_gap)
+        assert len(expected) > 100
+        assert got == expected
+        assert rng.bit_generator.state == ref.bit_generator.state

@@ -186,7 +186,7 @@ class TestBatchScheduling:
 
 
 class TestBatchCallScheduling:
-    """The chunked-arrival fast paths: schedule_sorted_calls / schedule_calls."""
+    """The batch fast paths: schedule_sorted_calls / schedule_calls."""
 
     def test_sorted_calls_match_schedule_call_loop_order(self):
         # Duplicate timestamps spanning the batch boundary: global seq

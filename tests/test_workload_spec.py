@@ -133,6 +133,33 @@ class TestWorkloadSpecs:
         assert choices == [1, 8]
         assert probs == [0.75, 0.25]
 
+    @pytest.mark.parametrize(
+        "size_blocks",
+        [
+            0,
+            -1,
+            1.5,
+            [[1, 0.5], [8, 0.6]],
+            [[1, 1.25], [8, -0.25]],
+            [[0, 0.5], [8, 0.5]],
+            [[2.5, 1.0]],
+            [],
+            [[1, 0.5, 8]],
+        ],
+    )
+    def test_bad_size_blocks_rejected_before_the_run(self, size_blocks):
+        spec = valid_spec()
+        spec["phases"][0]["size_blocks"] = size_blocks
+        with pytest.raises(SpecError, match="size_blocks"):
+            workload_from_spec(spec, interval_us=1000.0)
+
+    def test_size_probabilities_within_numpy_tolerance_accepted(self):
+        spec = valid_spec()
+        # 1e-10 short of 1: inside Generator.choice's own tolerance.
+        spec["phases"][0]["size_blocks"] = [[1, 0.5], [8, 0.4999999999]]
+        wl = workload_from_spec(spec, interval_us=1000.0)
+        assert wl.phases[0].size_blocks == ([1, 8], [0.5, 0.4999999999])
+
     def test_empty_phases_rejected(self):
         spec = valid_spec()
         spec["phases"] = []

@@ -113,6 +113,10 @@ class TestPhaseSpec:
         p = self._phase()
         assert p.write_pattern is p.pattern_read
 
+    def test_size_choices_and_probabilities_must_align(self):
+        with pytest.raises(ValueError, match="2 choices and 1 probabilities"):
+            self._phase(size_blocks=([1, 8], [1.0])).validate()
+
 
 class TestWorkloadEngine:
     def _one_phase(self, rate=1000.0, n_intervals=4, write_frac=0.5):
