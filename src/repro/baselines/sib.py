@@ -152,7 +152,7 @@ class SibController(Scheme):
             return
         self._started = True
         self.configure_cache()
-        self.sim.schedule_call(self.config.check_interval_us, self._tick)
+        self.sim.schedule(self.config.check_interval_us, self._tick)
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
@@ -190,7 +190,7 @@ class SibController(Scheme):
                     bypassed=len(stolen),
                 )
             )
-        self.sim.schedule_call(cfg.check_interval_us, self._tick)
+        self.sim.schedule(cfg.check_interval_us, self._tick)
 
     @property
     def total_bypassed(self) -> int:

@@ -68,7 +68,7 @@ class WritebackFlusher:
         """Begin the periodic flush loop (idempotent)."""
         if not self._started:
             self._started = True
-            self.sim.schedule_call(self.config.interval_us, self._tick)
+            self.sim.schedule(self.config.interval_us, self._tick)
 
     def _tick(self) -> None:
         cfg = self.config
@@ -79,4 +79,4 @@ class WritebackFlusher:
             for lba in store.dirty_blocks(limit=batch):
                 if self.controller.flush_block(lba):
                     self.flushes_started += 1
-        self.sim.schedule_call(cfg.interval_us, self._tick)
+        self.sim.schedule(cfg.interval_us, self._tick)

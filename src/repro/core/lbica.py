@@ -178,7 +178,7 @@ class LbicaController(Scheme):
         if self._started:
             return
         self._started = True
-        self.sim.schedule_call(self.config.decision_interval_us, self._tick)
+        self.sim.schedule(self.config.decision_interval_us, self._tick)
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
@@ -275,7 +275,7 @@ class LbicaController(Scheme):
                 bypassed=bypassed,
             )
         )
-        sim.schedule_call(config.decision_interval_us, self._tick)
+        sim.schedule(config.decision_interval_us, self._tick)
 
     # ------------------------------------------------------------------
     @property

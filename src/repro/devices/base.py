@@ -11,12 +11,10 @@ as the device's service time (``svctm``) — the ``ssdLatency`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappush
 from typing import Callable, Optional, Protocol
 
 from repro.io.device_queue import DeviceQueue
 from repro.io.request import DeviceOp
-from repro.sim.engine import _NO_EVENT
 
 __all__ = ["ServiceModel", "StorageDevice", "DeviceStats"]
 
@@ -175,12 +173,10 @@ class StorageDevice:
         observers = self._d_observers
         service_time = self.model.service_time
         complete = self._complete
+        schedule = self.sim.schedule
         stats = self.stats
         pending = queue.pending
         qstats = queue.stats
-        first_op = None
-        first_service = 0.0
-        batch = None
         while len(inflight) < depth:
             if not pending:
                 break
@@ -199,33 +195,7 @@ class StorageDevice:
             if observers:
                 for fn in observers:
                     fn(op)
-            if first_op is None:
-                first_op, first_service = op, service
-            else:
-                if batch is None:
-                    batch = [(first_service, complete, (first_op, first_service))]
-                batch.append((service, complete, (op, service)))
-        # One dispatch round enters the calendar as a single block: the
-        # seq numbers match the per-op schedule_call sequence exactly
-        # (nothing else schedules between ops of one round).
-        if batch is not None:
-            self.sim.schedule_calls(batch)
-        elif first_op is not None:
-            # Completions are never cancelled.  Inlined
-            # sim.schedule_call(first_service, complete, op, service):
-            # the single-op round is the dominant dispatch outcome, and
-            # service >= 0 was already checked above.
-            sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            entry = (
-                now + first_service,
-                seq,
-                complete,
-                (first_op, first_service),
-                _NO_EVENT,
-            )
-            heappush(sim._heap, entry)
+            schedule(service, complete, op, service)
 
     def _complete(self, op: DeviceOp, service: float) -> None:
         now = self.sim.now

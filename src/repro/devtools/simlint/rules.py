@@ -171,9 +171,7 @@ class FloatTimeEqualityRule(Rule):
         "addition; two logically simultaneous events can differ in the\n"
         "last ulp, so exact equality on them is a latent determinism bug.\n"
         "Compare with <, <=, or an explicit tolerance — and where exact\n"
-        "tie-breaking is genuinely intended (Event.__lt__ defers equal\n"
-        "times to the scheduling sequence number), say so with a\n"
-        "justified pragma."
+        "equality is genuinely intended, say so with a justified pragma."
     )
 
     _EXACT = {"time", "now"}
@@ -371,21 +369,19 @@ class HotPathRule(Rule):
     code = "SL007"
     title = "hot-path functions stay allocation-lean"
     explanation = (
-        "The per-event dispatch chain (Simulator.run/step/schedule_call,\n"
+        "The per-event dispatch chain (Simulator.run/schedule,\n"
         "CacheStore.lookup, DeviceQueue.push/pop_next/complete,\n"
         "CacheController._do_read/_do_write/_sync_done, Workload._arrive)\n"
-        "runs millions of times per scenario; PR 3's profiling showed\n"
-        "closure allocation and Event-object churn dominate it.  Inside\n"
-        "these functions: no lambdas, no nested defs, and no bare\n"
-        "self-discarding .schedule(...) calls — schedule_call() is the\n"
-        "no-Event fast path when the handle is never used."
+        "runs millions of times per scenario, so every allocation in it\n"
+        "is multiplied.  Inside these functions: no lambdas and no\n"
+        "nested defs — schedule a bound method with positional arguments\n"
+        "instead of a closure."
     )
 
     _HOT: frozenset[tuple[str, str]] = frozenset(
         {
             ("repro.sim.engine", "Simulator.run"),
-            ("repro.sim.engine", "Simulator.step"),
-            ("repro.sim.engine", "Simulator.schedule_call"),
+            ("repro.sim.engine", "Simulator.schedule"),
             ("repro.cache.store", "CacheStore.lookup"),
             ("repro.io.device_queue", "DeviceQueue.push"),
             ("repro.io.device_queue", "DeviceQueue.pop_next"),
@@ -426,18 +422,6 @@ class HotPathRule(Rule):
                         ctx,
                         node,
                         "nested function defined in a hot-path function",
-                    )
-                elif (
-                    isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr == "schedule"
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        ".schedule(...) with the Event handle discarded in a "
-                        "hot-path function; use schedule_call()",
                     )
 
 

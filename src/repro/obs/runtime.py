@@ -59,10 +59,6 @@ class RunTelemetry:
         self.spans: Optional[SpanTracer] = (
             SpanTracer(obs.trace_capacity) if obs.trace else None
         )
-        # Mid-run events_processed reads require the engine's live
-        # counter mode (the default batch loop flushes its count only on
-        # return).  Pop order is unchanged, so results are identical.
-        system.sim.live_counters = True
         self._last_events = 0
         self._t0 = 0.0
         self._last_wall = 0.0

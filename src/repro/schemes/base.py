@@ -180,12 +180,12 @@ class Scheme:
             return
         self._started = True
         if self.tick_interval_us > 0:
-            self.sim.schedule_call(self.tick_interval_us, self._tick)
+            self.sim.schedule(self.tick_interval_us, self._tick)
 
     def _tick(self) -> None:
         if self.system is not None:
             self.on_tick(self.sim.now)
-        self.sim.schedule_call(self.tick_interval_us, self._tick)
+        self.sim.schedule(self.tick_interval_us, self._tick)
 
     def on_tick(self, now: float) -> None:
         """Per-tick hook: evaluate, decide, and log one decision."""

@@ -12,9 +12,9 @@ expressible:
   short-lived tenants without enumerating them;
 - :class:`TenantEvent` — one scheduled churn action, for reporting;
 - :class:`ChurnManager` — the executor: it schedules every lifecycle
-  event on the simulator (via the allocation-free ``schedule_call``
-  path) and drives the cache-side consequences — share reclamation with
-  dirty write-back on departure, allocator-gated rewarm on arrival,
+  event on the simulator (``Simulator.schedule``, as a delay from the
+  start time) and drives the cache-side consequences — share reclamation
+  with dirty write-back on departure, allocator-gated rewarm on arrival,
   and both in sequence on migration.
 
 The manager deliberately duck-types its workload (see
@@ -268,17 +268,13 @@ class ChurnManager:
             lifecycle.validate()
             if lifecycle.arrive_at_us is not None:
                 self.events.append(TenantEvent(lifecycle.arrive_at_us, tid, "arrive"))
-                self.sim.schedule_call(
-                    lifecycle.arrive_at_us - now, self._arrive, tid
-                )
+                self.sim.schedule(lifecycle.arrive_at_us - now, self._arrive, tid)
             for t in lifecycle.migrate_at_us:
                 self.events.append(TenantEvent(t, tid, "migrate"))
-                self.sim.schedule_call(t - now, self._migrate, tid)
+                self.sim.schedule(t - now, self._migrate, tid)
             if lifecycle.depart_at_us is not None:
                 self.events.append(TenantEvent(lifecycle.depart_at_us, tid, "depart"))
-                self.sim.schedule_call(
-                    lifecycle.depart_at_us - now, self._depart, tid
-                )
+                self.sim.schedule(lifecycle.depart_at_us - now, self._depart, tid)
 
     def is_active(self, tenant_id: int) -> bool:
         """Whether the tenant is currently present (arrived, not departed)."""

@@ -200,7 +200,7 @@ class SloMonitor:
         if self._started:
             return
         self._started = True
-        self.sim.schedule_call(self.interval_us, self._tick)
+        self.sim.schedule(self.interval_us, self._tick)
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
@@ -246,7 +246,7 @@ class SloMonitor:
             self.intervals[tid] += 1
             if not sample.compliant:
                 self.violations[tid] += 1
-        self.sim.schedule_call(self.interval_us, self._tick)
+        self.sim.schedule(self.interval_us, self._tick)
 
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, Any]:

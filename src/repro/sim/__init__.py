@@ -2,19 +2,19 @@
 
 This package provides the timing substrate every other subsystem runs on:
 
-- :mod:`repro.sim.events` — the :class:`~repro.sim.events.Event` record and
-  its deterministic ordering rules.
 - :mod:`repro.sim.engine` — the :class:`~repro.sim.engine.Simulator` event
-  loop (a binary-heap calendar queue).
+  loop (a binary-heap calendar of ``(time, seq, fn, args)`` entries that
+  fire in deterministic ``(time, seq)`` order).
 - :mod:`repro.sim.rng` — named, seeded random streams so that every
   stochastic component (device jitter, workload arrivals, address patterns)
   is independently reproducible from one root seed.
+- :mod:`repro.sim.fastdraw` — decodes a PCG64 stream's draws the way
+  ``numpy.random.Generator`` would, for the workloads' arrival path.
 
 Time is measured in **microseconds** (floats) throughout the project.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Simulator", "Event", "RngRegistry"]
+__all__ = ["Simulator", "RngRegistry"]

@@ -156,7 +156,7 @@ class IostatMonitor:
         now = self.sim.now
         self.ssd.queue.reset_window(now)
         self.hdd.queue.reset_window(now)
-        self.sim.schedule_call(self.interval_us, self._tick)
+        self.sim.schedule(self.interval_us, self._tick)
 
     def add_sample_hook(self, fn: Callable[[IntervalSample], None]) -> None:
         """Call ``fn(sample)`` after each interval sample is recorded.
@@ -225,7 +225,7 @@ class IostatMonitor:
         if self._sample_hooks:
             for hook in self._sample_hooks:
                 hook(sample)
-        self.sim.schedule_call(self.interval_us, self._tick)
+        self.sim.schedule(self.interval_us, self._tick)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IostatMonitor(interval={self.interval_us}µs, samples={len(self.samples)})"

@@ -14,7 +14,7 @@ Draw source
 -----------
 Each arrival is one event: ``_arrive`` draws the read/write coin, the
 address and the gap to the next arrival, in that order, and re-arms
-itself with ``schedule_call``.  The golden fingerprints pin that exact
+itself with ``Simulator.schedule``.  The golden fingerprints pin that exact
 ``numpy.random.Generator`` draw sequence.  :meth:`Workload.bind` picks
 the object the draws come from, once.  When every phase is decodable (a
 fixed request size and address patterns of the exact built-in types) it
@@ -304,7 +304,7 @@ class Workload:
             for phase in self.phases
         )
         self._draws = RawDraws(bit_gen) if decodable and replication_verified() else rng
-        sim.schedule_call(self._next_gap(), self._arrive)
+        sim.schedule(self._next_gap(), self._arrive)
 
     def on_request_complete(self, request: Request) -> None:
         """Backpressure hook: wire to the cache controller's completion."""
@@ -312,7 +312,7 @@ class Workload:
         if self._throttled and self._outstanding < self.max_outstanding:
             self._throttled = False
             if self._sim.now < self.duration_us:
-                self._sim.schedule_call(self._next_gap(), self._arrive)
+                self._sim.schedule(self._next_gap(), self._arrive)
 
     # ------------------------------------------------------------------
     def _next_gap(self) -> float:
@@ -348,7 +348,7 @@ class Workload:
         if nblocks is None:
             nblocks = self._draw_size(self.phases[idx])
         self._deliver(Request(now, lba, nblocks, is_write))
-        sim.schedule_call(draws.exponential(mean_gap), self._arrive)
+        sim.schedule(draws.exponential(mean_gap), self._arrive)
 
     def _deliver(self, request: Request) -> None:
         """Count a generated request and submit it."""

@@ -12,19 +12,22 @@ regenerate its own.
 Two execution modes share one class:
 
 - **Materialized** (a list in, the historical behavior): records are
-  filtered and sorted up front and the whole script is batch-scheduled
-  in :meth:`ReplayWorkload.bind`.
+  filtered and sorted up front and the whole script is scheduled in
+  :meth:`ReplayWorkload.bind`.
 - **Streaming** (any other iterable, or ``streams=``): records are
   pulled through the pipeline in chunks of :data:`CHUNK_RECORDS`
-  arrivals, each chunk batch-scheduled via
-  :meth:`~repro.sim.engine.Simulator.schedule_sorted_calls` when the
-  previous chunk's last arrival fires.  Peak memory is then bounded by
-  the chunk size, not the trace length — a 10M-record trace replays in
-  the same footprint as a 10k-record one.
+  arrivals, each chunk scheduled when the previous chunk's last arrival
+  fires.  Peak memory is then bounded by the chunk size, not the trace
+  length — a 10M-record trace replays in the same footprint as a
+  10k-record one.
 
-Both modes produce identical arrival sequences for the same input, so
-run statistics (and :func:`repro.scenario.fingerprint.stats_fingerprint`
-digests) are mode-independent.
+Both modes schedule one
+:meth:`~repro.sim.engine.Simulator.schedule_at` entry per arrival, at
+its absolute (scaled) trace time, so they produce identical arrival
+sequences for the same input, and run statistics (and
+:func:`repro.scenario.fingerprint.stats_fingerprint` digests) are
+mode-independent.  The times stay absolute rather than delays from
+*now* because ``now + (t - now)`` does not always round back to ``t``.
 """
 
 from __future__ import annotations
@@ -177,12 +180,9 @@ class ReplayWorkload:
     def bind(self, sim, submit: Callable[[Request], None], rng=None) -> None:
         """Schedule the first chunk (streaming) or everything (rng unused).
 
-        Materialized mode batch-schedules the whole sorted script via
-        :meth:`~repro.sim.engine.Simulator.schedule_sorted_at` — on an
-        idle simulator the batch is appended in O(n) without heap churn.
-        Streaming mode schedules one chunk through
-        :meth:`~repro.sim.engine.Simulator.schedule_sorted_calls` and
-        refills when the chunk's last arrival fires.
+        Materialized mode schedules the whole sorted script.  Streaming
+        mode schedules one chunk and refills when the chunk's last
+        arrival fires.  Arrivals before the bind time fire at it.
         """
         self._sim = sim
         self._submit = submit
@@ -191,17 +191,15 @@ class ReplayWorkload:
             now = sim.now
             scale = self.time_scale
             emit = self._emit_materialized
-            sim.schedule_sorted_at(
-                (max(rec.time * scale, now), emit, (rec,))
-                for rec in self.records
-            )
+            for rec in self.records:
+                sim.schedule_at(max(rec.time * scale, now), emit, rec)
             if not self.records:
                 self.stats.finished = True
             return
         self._schedule_chunk()
 
     def _schedule_chunk(self) -> None:
-        """Pull, order-check, and batch-schedule the next chunk.
+        """Pull, order-check, and schedule the next chunk.
 
         The pull happens *before* any scheduling, so a parse error
         surfacing mid-chunk (malformed trace line) schedules nothing
@@ -234,17 +232,11 @@ class ReplayWorkload:
             )
         self._last_raw = last
         floor = self._floor
-        tail = len(chunk) - 1
         emit = self._emit
-        emit_last = self._emit_last
-        sim.schedule_sorted_calls(
-            (
-                max(t, floor),
-                emit_last if i == tail else emit,
-                (rec, tid),
-            )
-            for i, (t, rec, tid) in enumerate(chunk)
-        )
+        for t, rec, tid in chunk[:-1]:
+            sim.schedule_at(max(t, floor), emit, rec, tid)
+        _, rec, tid = chunk[-1]
+        sim.schedule_at(max(last, floor), self._emit_last, rec, tid)
 
     def _finish(self) -> None:
         self.stats.finished = True

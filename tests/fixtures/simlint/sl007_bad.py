@@ -1,12 +1,12 @@
-"""SL007 bad: allocations and discarded handles inside a hot-path body.
+"""SL007 bad: closure allocations inside a hot-path body.
 
-Linted as module ``repro.sim.engine`` so ``Simulator.step`` matches the
+Linted as module ``repro.sim.engine`` so ``Simulator.run`` matches the
 hot-path allowlist.
 """
 
 
 class Simulator:
-    def step(self):
+    def run(self):
         def tick():
             return None
 

@@ -1,7 +1,7 @@
 """SL007 good: hot-path body stays allocation-lean.
 
 Linted as module ``repro.sim.engine``; helpers live at module level and
-scheduling goes through the no-Event fast path.
+are scheduled directly, with no closure per call.
 """
 
 
@@ -10,8 +10,8 @@ def _tick():
 
 
 class Simulator:
-    def step(self):
-        self.schedule_call(0.0, _tick)
+    def run(self):
+        self.schedule(0.0, _tick)
 
     def cold_path(self):
         # not on the allowlist: closures are fine here

@@ -161,18 +161,19 @@ class TestRedirection:
         assert hdd.stats.writes == 1
 
     def test_redirect_promote_cancels(self, sim, controller, store, ssd):
-        # a miss read that promotes, then steal the promotion
+        # Hold the SSD so the miss read's promotion waits in its queue.
+        ssd.pause_dispatch(1e6)
         req = Request(0.0, 60, 1, False)
         controller.submit(req)
-        # run until the HDD read completes and the P op is enqueued
-        while not req.done:
-            sim.step()
-        pending_p = [op for op in ssd.queue.pending_ops() if op.tag is OpTag.PROMOTE]
-        if pending_p:
-            controller.redirect_to_disk(pending_p[0])
-            ssd.queue.pending.remove(pending_p[0])
-            assert 60 not in store
-            assert controller.stats.promotes_cancelled >= 1
+        sim.run(until=5e5)
+        assert req.done
+        stolen = ssd.queue.steal_tail(1, sim.now, predicate=controller.op_redirectable)
+        assert [op.tag for op in stolen] == [OpTag.PROMOTE]
+        controller.redirect_to_disk(stolen[0])
+        assert controller.stats.promotes_cancelled == 1
+        assert 60 not in store
+        sim.run()
+        assert ssd.stats.completions_by_tag.get("P") is None
 
     def test_wt_redirect_completes_for_free(self, sim, controller, store, ssd, hdd):
         controller.set_policy(WritePolicy.WT)

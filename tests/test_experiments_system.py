@@ -13,9 +13,10 @@ from repro.experiments.system import SCHEMES, WORKLOADS, ExperimentSystem
 class TestNoCyclicGarbage:
     """A run leaves nothing for the cyclic collector to find.
 
-    ``Simulator.run`` pauses the collector, so a reference cycle made
-    during a run would stay in memory until the run ends.  With the
-    collector paused throughout, a run must leave no unreachable objects.
+    Every object a run allocates should be freed by reference counting
+    alone, so the collector has no work to do in the event loop.  The
+    test pauses the collector for the whole run, so any reference cycle
+    made during it survives to the end, where it must not exist.
     """
 
     @staticmethod

@@ -36,7 +36,6 @@ from repro.obs.cli import main as obs_main
 from repro.scenario.fingerprint import stats_fingerprint
 from repro.scenario.registry import get_scenario
 from repro.scenario.spec import ScenarioError, ScenarioSpec
-from repro.sim.engine import Simulator
 from repro.store import RunArtifact, RunStore
 
 
@@ -80,31 +79,6 @@ class TestFingerprintEquivalence:
         assert last["tenants"]
         assert any("quota" in entry for entry in last["tenants"].values())
         assert "tenants" in last["slo"]
-
-    def test_engine_live_counter_mode_matches_batch_loop(self):
-        def drive(live: bool):
-            sim = Simulator()
-            sim.live_counters = live
-            fired = []
-            sim.schedule(5.0, fired.append, "late")
-            sim.schedule(2.0, fired.append, "early")
-            for i in range(4):
-                sim.schedule(3.0, fired.append, i)
-            sim.schedule(2.0, lambda: sim.schedule(0.5, fired.append, "mid"))
-            sim.run()
-            return fired, sim.now, sim.events_processed
-
-        assert drive(live=True) == drive(live=False)
-
-    def test_live_counters_visible_mid_run(self):
-        sim = Simulator()
-        sim.live_counters = True
-        seen = []
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: seen.append(sim.events_processed))
-        sim.run()
-        # The batch loop would report 0 here; live mode counts as it pops.
-        assert seen == [2]
 
 
 class TestMetricsSeries:

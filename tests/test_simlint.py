@@ -94,7 +94,9 @@ def test_sl007_only_fires_in_hot_functions():
     messages = " ".join(v.message for v in violations)
     assert "lambda" in messages
     assert "nested function" in messages
-    assert "schedule_call" in messages
+    # the discarded .schedule(...) result is not a violation: schedule
+    # returns nothing
+    assert len(violations) == 2
 
 
 def test_sl009_sanctioned_only_in_the_harness_module():
