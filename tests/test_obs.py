@@ -36,6 +36,7 @@ from repro.obs.cli import main as obs_main
 from repro.scenario.fingerprint import stats_fingerprint
 from repro.scenario.registry import get_scenario
 from repro.scenario.spec import ScenarioError, ScenarioSpec
+from repro.sim.engine import Simulator
 from repro.store import RunArtifact, RunStore
 
 
@@ -79,6 +80,16 @@ class TestFingerprintEquivalence:
         assert last["tenants"]
         assert any("quota" in entry for entry in last["tenants"].values())
         assert "tenants" in last["slo"]
+
+    def test_live_counters_visible_mid_run(self):
+        # The heartbeat reads events_processed while the run is going;
+        # the count includes the callback that reads it.
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: seen.append(sim.events_processed))
+        sim.run()
+        assert seen == [2]
 
 
 class TestMetricsSeries:
