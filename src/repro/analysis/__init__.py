@@ -12,15 +12,20 @@
   environment has no matplotlib; figures render as ASCII + CSV).
 """
 
-from repro.analysis.ascii_plot import ascii_bar_chart, ascii_line_chart
-from repro.analysis.metrics import (
-    LatencySummary,
-    latency_summary,
-    load_reduction,
-    percentile,
-)
-from repro.analysis.report import comparison_table, format_table
-from repro.analysis.series import IntervalSeries, series_from_samples
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.ascii_plot import ascii_bar_chart, ascii_line_chart
+    from repro.analysis.metrics import (
+        LatencySummary,
+        latency_summary,
+        load_reduction,
+        percentile,
+    )
+    from repro.analysis.report import comparison_table, format_table
+    from repro.analysis.series import IntervalSeries, series_from_samples
 
 __all__ = [
     "LatencySummary",
@@ -34,3 +39,18 @@ __all__ = [
     "ascii_line_chart",
     "ascii_bar_chart",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.ascii_plot": ("ascii_bar_chart", "ascii_line_chart"),
+        "repro.analysis.metrics": (
+            "LatencySummary",
+            "latency_summary",
+            "load_reduction",
+            "percentile",
+        ),
+        "repro.analysis.report": ("comparison_table", "format_table"),
+        "repro.analysis.series": ("IntervalSeries", "series_from_samples"),
+    },
+)

@@ -8,7 +8,22 @@
   in-queue requests, paying a per-request selection overhead.
 """
 
-from repro.baselines.sib import SibConfig, SibController
-from repro.baselines.wb import WbBaseline
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines.sib import SibController
+    from repro.baselines.wb import WbBaseline
+    from repro.schemes.configs import SibConfig
 
 __all__ = ["WbBaseline", "SibController", "SibConfig"]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.baselines.sib": ("SibController",),
+        "repro.baselines.wb": ("WbBaseline",),
+        "repro.schemes.configs": ("SibConfig",),
+    },
+)

@@ -30,49 +30,10 @@ from repro.cache.controller import CacheController
 from repro.cache.write_policy import WritePolicy
 from repro.devices.base import StorageDevice
 from repro.schemes.base import Scheme
+from repro.schemes.configs import SibConfig
 from repro.schemes.registry import register_scheme
 
 __all__ = ["SibConfig", "SibController", "SibRound"]
-
-
-@dataclass
-class SibConfig:
-    """SIB tuning.
-
-    Attributes:
-        check_interval_us: Period of the balancing loop (SIB runs finer
-            than a monitoring interval).
-        scan_overhead_us_per_op: Estimation cost charged per pending op
-            each round (stalls SSD dispatch).
-        max_bypass_per_round: Bound on requests moved per round.
-        margin: Required ``cache_Qtime / disk_Qtime`` ratio to act.
-        min_cache_qtime_us: Absolute floor below which SIB stays idle.
-        promote_on_miss: Whether SIB's write-through cache promotes read
-            misses.  Kim et al. describe a WT/WO design; with promotion
-            fully disabled a read-heavy workload never hits and the
-            scheme collapses below even the WB baseline, which does not
-            match the relative orderings of the LBICA paper's figures —
-            so the default keeps read promotion (plain WT cache) and the
-            strict WT+WO variant is exercised by the ablation benchmark.
-    """
-
-    check_interval_us: float = 12_500.0
-    scan_overhead_us_per_op: float = 2.0
-    max_bypass_per_round: int = 64
-    margin: float = 1.0
-    min_cache_qtime_us: float = 80_000.0
-    promote_on_miss: bool = True
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` on inconsistent parameters."""
-        if self.check_interval_us <= 0:
-            raise ValueError("check_interval_us must be positive")
-        if self.scan_overhead_us_per_op < 0:
-            raise ValueError("scan_overhead_us_per_op must be non-negative")
-        if self.max_bypass_per_round <= 0:
-            raise ValueError("max_bypass_per_round must be positive")
-        if self.margin < 1.0:
-            raise ValueError("margin must be >= 1.0")
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,23 @@ falls through to the disk.  This package rebuilds that substrate:
 - :mod:`repro.cache.writeback` — background dirty-block flusher.
 """
 
-from repro.cache.block import CacheBlock
-from repro.cache.controller import CacheController, CacheStats
-from repro.cache.replacement import (
-    ClockPolicy,
-    FifoPolicy,
-    LfuPolicy,
-    LruPolicy,
-    make_replacement_policy,
-)
-from repro.cache.store import CacheStore
-from repro.cache.write_policy import PolicyBehavior, WritePolicy
-from repro.cache.writeback import WritebackFlusher
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cache.block import CacheBlock
+    from repro.cache.controller import CacheController, CacheStats
+    from repro.cache.replacement import (
+        ClockPolicy,
+        FifoPolicy,
+        LfuPolicy,
+        LruPolicy,
+        make_replacement_policy,
+    )
+    from repro.cache.store import CacheStore
+    from repro.cache.write_policy import PolicyBehavior, WritePolicy
+    from repro.cache.writeback import WritebackFlusher
 
 __all__ = [
     "CacheBlock",
@@ -46,3 +51,21 @@ __all__ = [
     "LfuPolicy",
     "make_replacement_policy",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.cache.block": ("CacheBlock",),
+        "repro.cache.controller": ("CacheController", "CacheStats"),
+        "repro.cache.replacement": (
+            "ClockPolicy",
+            "FifoPolicy",
+            "LfuPolicy",
+            "LruPolicy",
+            "make_replacement_policy",
+        ),
+        "repro.cache.store": ("CacheStore",),
+        "repro.cache.write_policy": ("PolicyBehavior", "WritePolicy"),
+        "repro.cache.writeback": ("WritebackFlusher",),
+    },
+)

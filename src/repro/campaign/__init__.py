@@ -25,18 +25,23 @@ Quickstart::
     print(run.summary())        # second invocation: 3 store hits, 0 simulated
 """
 
-from repro.campaign.report import (
-    CampaignDiff,
-    MetricDelta,
-    ScenarioStatus,
-    campaign_report,
-    campaign_status,
-    diff_fingerprints,
-    load_fingerprints,
-    status_table,
-)
-from repro.campaign.runner import CampaignRun, run_campaign
-from repro.campaign.spec import CampaignError, CampaignSpec, load_campaign
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.campaign.report import (
+        CampaignDiff,
+        MetricDelta,
+        ScenarioStatus,
+        campaign_report,
+        campaign_status,
+        diff_fingerprints,
+        load_fingerprints,
+        status_table,
+    )
+    from repro.campaign.runner import CampaignRun, run_campaign
+    from repro.campaign.spec import CampaignError, CampaignSpec, load_campaign
 
 __all__ = [
     "CampaignSpec",
@@ -53,3 +58,21 @@ __all__ = [
     "diff_fingerprints",
     "load_fingerprints",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.campaign.report": (
+            "CampaignDiff",
+            "MetricDelta",
+            "ScenarioStatus",
+            "campaign_report",
+            "campaign_status",
+            "diff_fingerprints",
+            "load_fingerprints",
+            "status_table",
+        ),
+        "repro.campaign.runner": ("CampaignRun", "run_campaign"),
+        "repro.campaign.spec": ("CampaignError", "CampaignSpec", "load_campaign"),
+    },
+)

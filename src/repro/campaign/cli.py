@@ -33,7 +33,7 @@ from repro.campaign.report import (
 )
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignError, CampaignSpec, load_campaign
-from repro.store import RunStore, StoreError
+from repro.store.run_store import RunStore, StoreError
 
 __all__ = ["main", "build_parser"]
 

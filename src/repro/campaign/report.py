@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Union
 
 from repro.analysis.report import comparison_table, format_table
 from repro.campaign.spec import CampaignSpec
-from repro.store import RunKey, RunStore, SchemaMismatchError, StoreError
+from repro.store.run_store import RunKey, RunStore, SchemaMismatchError, StoreError
 
 __all__ = [
     "ScenarioStatus",

@@ -26,7 +26,8 @@ from typing import Optional
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.runner import ExperimentRunner
 from repro.scenario.spec import ScenarioSpec
-from repro.store import RunArtifact, RunKey, RunStore, StoreError
+from repro.store.artifact import RunArtifact
+from repro.store.run_store import RunKey, RunStore, StoreError
 
 __all__ = ["CampaignRun", "run_campaign"]
 

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.baselines.sib import SibConfig
 from repro.cache.writeback import WritebackConfig
-from repro.core.lbica import LbicaConfig
 from repro.devices.hdd import HddConfig
 from repro.devices.presets import HDD_PRESET, SSD_PRESET
 from repro.devices.ssd import SsdConfig
 from repro.obs.config import ObsConfig
-from repro.schemes.dynshare import DynShareConfig
-from repro.schemes.partition import PartitionConfig
-from repro.schemes.slosteal import SloStealConfig
+from repro.schemes.configs import (
+    DynShareConfig,
+    LbicaConfig,
+    PartitionConfig,
+    SibConfig,
+    SloStealConfig,
+)
 
 __all__ = ["SystemConfig", "paper_config", "quick_config"]
 

@@ -15,15 +15,21 @@ periodically:
    that regenerates Fig. 6.
 """
 
-from repro.core.balancer import TailBypassBalancer
-from repro.core.bottleneck import BottleneckDetector, BottleneckReading
-from repro.core.characterization import (
-    CharacterizerConfig,
-    WorkloadCharacterizer,
-    WorkloadGroup,
-)
-from repro.core.lbica import LbicaConfig, LbicaController, LbicaDecision
-from repro.core.policy_table import PolicyAction, default_policy_table
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.balancer import TailBypassBalancer
+    from repro.core.bottleneck import BottleneckDetector, BottleneckReading
+    from repro.core.characterization import (
+        CharacterizerConfig,
+        WorkloadCharacterizer,
+        WorkloadGroup,
+    )
+    from repro.core.lbica import LbicaController, LbicaDecision
+    from repro.core.policy_table import PolicyAction, default_policy_table
+    from repro.schemes.configs import LbicaConfig
 
 __all__ = [
     "BottleneckDetector",
@@ -38,3 +44,19 @@ __all__ = [
     "LbicaConfig",
     "LbicaDecision",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.balancer": ("TailBypassBalancer",),
+        "repro.core.bottleneck": ("BottleneckDetector", "BottleneckReading"),
+        "repro.core.characterization": (
+            "CharacterizerConfig",
+            "WorkloadCharacterizer",
+            "WorkloadGroup",
+        ),
+        "repro.core.lbica": ("LbicaController", "LbicaDecision"),
+        "repro.core.policy_table": ("PolicyAction", "default_policy_table"),
+        "repro.schemes.configs": ("LbicaConfig",),
+    },
+)

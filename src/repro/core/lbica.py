@@ -16,81 +16,23 @@ policy annotations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.controller import CacheController
 from repro.cache.write_policy import WritePolicy
 from repro.core.balancer import TailBypassBalancer
 from repro.core.bottleneck import BottleneckDetector
-from repro.core.characterization import (
-    CharacterizerConfig,
-    QueueMix,
-    WorkloadCharacterizer,
-    WorkloadGroup,
-)
+from repro.core.characterization import QueueMix, WorkloadCharacterizer, WorkloadGroup
 from repro.core.policy_table import PolicyAction, default_policy_table
 from repro.devices.base import StorageDevice
 from repro.io.request import OpTag
 from repro.schemes.base import Scheme
+from repro.schemes.configs import LbicaConfig
 from repro.schemes.registry import register_scheme
 from repro.trace.blktrace import BlkTracer
 
 __all__ = ["LbicaConfig", "LbicaDecision", "LbicaController"]
-
-
-@dataclass
-class LbicaConfig:
-    """LBICA tuning.
-
-    Attributes:
-        decision_interval_us: Period of the control loop (the paper runs
-            it at the monitoring interval).
-        margin: Bottleneck margin for Eq. 1 (see
-            :class:`~repro.core.bottleneck.BottleneckDetector`).
-        min_cache_qtime_us: Absolute burst floor.
-        characterizer: Classifier thresholds.
-        max_bypass_per_round: Group-3 tail-bypass bound per tick.
-        revert_after_quiet: If set, restore WB after this many consecutive
-            non-burst evaluations (the paper keeps the assigned policy;
-            this knob exists for the ablation study).
-        confirm_ticks: A policy is assigned only after the same group has
-            been classified on this many consecutive burst evaluations —
-            hysteresis against one noisy queue snapshot flapping the
-            policy.  Because an unaddressed bottleneck keeps re-detecting
-            every interval, confirmation delays a real assignment by at
-            most ``confirm_ticks - 1`` intervals.
-        require_rising: Only change policy while the cache queue time is
-            still *growing*.  After a policy switch the old queue drains
-            for several intervals; during that drain the arrival mix
-            reflects the new policy's routing (e.g. only reads reach the
-            cache under RO) and would otherwise be misread as a new
-            workload.  A shrinking bottleneck needs no rebalancing.
-            Group-3 tail bypass is exempt: it is per-tick relief, not a
-            policy change.
-        use_window_mix: Characterize from the interval-accumulated queue
-            mix (robust) instead of the instantaneous snapshot.
-    """
-
-    decision_interval_us: float = 50_000.0
-    margin: float = 1.0
-    min_cache_qtime_us: float = 80_000.0
-    characterizer: CharacterizerConfig = field(default_factory=CharacterizerConfig)
-    max_bypass_per_round: int = 64
-    revert_after_quiet: Optional[int] = None
-    confirm_ticks: int = 2
-    require_rising: bool = True
-    use_window_mix: bool = True
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` on inconsistent parameters."""
-        if self.decision_interval_us <= 0:
-            raise ValueError("decision_interval_us must be positive")
-        if self.revert_after_quiet is not None and self.revert_after_quiet <= 0:
-            raise ValueError("revert_after_quiet must be positive when set")
-        if self.confirm_ticks < 1:
-            raise ValueError("confirm_ticks must be >= 1")
-        self.characterizer.validate()
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,15 @@ parameterised service-time models:
   hardware.
 """
 
-from repro.devices.base import DeviceStats, StorageDevice
-from repro.devices.hdd import HddModel
-from repro.devices.presets import samsung_863a_like, seagate_7200_like
-from repro.devices.ssd import SsdModel
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.devices.base import DeviceStats, StorageDevice
+    from repro.devices.hdd import HddModel
+    from repro.devices.presets import samsung_863a_like, seagate_7200_like
+    from repro.devices.ssd import SsdModel
 
 __all__ = [
     "StorageDevice",
@@ -33,3 +38,13 @@ __all__ = [
     "samsung_863a_like",
     "seagate_7200_like",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.devices.base": ("DeviceStats", "StorageDevice"),
+        "repro.devices.hdd": ("HddModel",),
+        "repro.devices.presets": ("samsung_863a_like", "seagate_7200_like"),
+        "repro.devices.ssd": ("SsdModel",),
+    },
+)

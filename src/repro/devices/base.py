@@ -46,20 +46,6 @@ class DeviceStats:
     #: equal to their letter (``stats.completions_by_tag.get("P")`` works).
     completions_by_tag: dict = field(default_factory=dict)
 
-    def record(self, op: DeviceOp, service: float) -> None:
-        """Account one completed operation."""
-        nblocks = op.nblocks
-        if op.is_write:
-            self.writes += 1
-            self.blocks_written += nblocks
-        else:
-            self.reads += 1
-            self.blocks_read += nblocks
-        self.total_service_time += service
-        by_tag = self.completions_by_tag
-        tag = op.tag
-        by_tag[tag] = by_tag.get(tag, 0) + 1
-
     @property
     def total_ops(self) -> int:
         """Completed operation count."""
@@ -208,8 +194,8 @@ class StorageDevice:
         queue.inflight.discard(op.op_id)
         op.complete_time = now
         queue.stats.completed += 1
-        # Inlined stats.record + _update_latency (both run exactly once
-        # per completion; the methods remain for other callers).
+        # Lifetime counters and the per-direction EWMA latency estimates,
+        # updated once per completion.
         stats = self.stats
         nblocks = op.nblocks
         a = self._ewma_alpha
@@ -256,13 +242,6 @@ class StorageDevice:
     # ------------------------------------------------------------------
     # Latency estimates (Eq. 1 inputs)
     # ------------------------------------------------------------------
-    def _update_latency(self, op: DeviceOp, service: float) -> None:
-        a = self._ewma_alpha
-        if op.is_write:
-            self._lat_write = (1 - a) * self._lat_write + a * service
-        else:
-            self._lat_read = (1 - a) * self._lat_read + a * service
-
     @property
     def read_latency(self) -> float:
         """EWMA-estimated read service time (µs)."""

@@ -21,21 +21,26 @@ Quickstart::
         print(v.render())           # SL001 ...
 """
 
-from repro.devtools.simlint.baseline import BaselineResult, compare
-from repro.devtools.simlint.engine import (
-    FileContext,
-    LintError,
-    Rule,
-    Violation,
-    lint_paths,
-    lint_source,
-)
-from repro.devtools.simlint.registry import (
-    get_rule,
-    register_rule,
-    rule_codes,
-    rule_descriptions,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.devtools.simlint.baseline import BaselineResult, compare
+    from repro.devtools.simlint.engine import (
+        FileContext,
+        LintError,
+        Rule,
+        Violation,
+        lint_paths,
+        lint_source,
+    )
+    from repro.devtools.simlint.registry import (
+        get_rule,
+        register_rule,
+        rule_codes,
+        rule_descriptions,
+    )
 
 __all__ = [
     "BaselineResult",
@@ -51,3 +56,24 @@ __all__ = [
     "rule_codes",
     "rule_descriptions",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.devtools.simlint.baseline": ("BaselineResult", "compare"),
+        "repro.devtools.simlint.engine": (
+            "FileContext",
+            "LintError",
+            "Rule",
+            "Violation",
+            "lint_paths",
+            "lint_source",
+        ),
+        "repro.devtools.simlint.registry": (
+            "get_rule",
+            "register_rule",
+            "rule_codes",
+            "rule_descriptions",
+        ),
+    },
+)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.devtools.simlint import baseline as baseline_mod
+import repro.devtools.simlint.baseline as baseline_mod
 from repro.devtools.simlint.engine import LintError, lint_paths
 from repro.devtools.simlint.registry import (
     get_rule,

@@ -15,11 +15,16 @@
 - :mod:`repro.experiments.cli` — ``python -m repro.experiments`` entry.
 """
 
-from repro.experiments.ablation import run_ablations, run_disk_headroom_sweep
-from repro.experiments.repeat import run_repeated
-from repro.experiments.report_md import generate_markdown_report
-from repro.experiments.runner import ExperimentRunner, run_grid
-from repro.experiments.system import ExperimentSystem, RunResult, SCHEMES, WORKLOADS
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.ablation import run_ablations, run_disk_headroom_sweep
+    from repro.experiments.repeat import run_repeated
+    from repro.experiments.report_md import generate_markdown_report
+    from repro.experiments.runner import ExperimentRunner, run_grid
+    from repro.experiments.system import SCHEMES, WORKLOADS, ExperimentSystem, RunResult
 
 __all__ = [
     "ExperimentSystem",
@@ -33,3 +38,19 @@ __all__ = [
     "SCHEMES",
     "WORKLOADS",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.experiments.ablation": ("run_ablations", "run_disk_headroom_sweep"),
+        "repro.experiments.repeat": ("run_repeated",),
+        "repro.experiments.report_md": ("generate_markdown_report",),
+        "repro.experiments.runner": ("ExperimentRunner", "run_grid"),
+        "repro.experiments.system": (
+            "SCHEMES",
+            "WORKLOADS",
+            "ExperimentSystem",
+            "RunResult",
+        ),
+    },
+)

@@ -46,13 +46,10 @@ from repro.experiments.system import (
     resolve_workload_name,
     workload_descriptions,
 )
-from repro.scenario import (
-    get_scenario,
-    load_scenario,
-    scenario_descriptions,
-    stats_fingerprint,
-)
-from repro.schemes import scheme_descriptions, scheme_names
+from repro.scenario.fingerprint import stats_fingerprint
+from repro.scenario.registry import get_scenario, scenario_descriptions
+from repro.scenario.spec import load_scenario
+from repro.schemes.registry import scheme_descriptions, scheme_names
 
 __all__ = ["main", "build_parser"]
 

@@ -37,7 +37,8 @@ from typing import Iterable, Optional, Sequence
 from repro.config import SystemConfig, paper_config
 from repro.experiments.system import SCHEMES, RunResult
 from repro.scenario.spec import ScenarioSpec
-from repro.store import RunArtifact, RunKey, RunStore, StoreError, stamped_artifact
+from repro.store.artifact import RunArtifact
+from repro.store.run_store import RunKey, RunStore, StoreError, stamped_artifact
 
 __all__ = [
     "ExperimentRunner",

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from repro.analysis.metrics import percentile
 from repro.analysis.report import format_table
 from repro.experiments.runner import PAPER_WORKLOADS, ExperimentRunner
-from repro.schemes import scheme_names
+from repro.schemes.registry import scheme_names
 
 __all__ = ["SchemeComparison", "generate_scheme_compare"]
 

@@ -13,23 +13,19 @@ the figure generators need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.cache.controller import CacheController, PolicyChange
 from repro.cache.store import CacheStore
 from repro.cache.write_policy import WritePolicy
 from repro.cache.writeback import WritebackFlusher
 from repro.config import SystemConfig
-from repro.core.lbica import LbicaDecision
-from repro.devices.array import StripedArrayModel
 from repro.devices.base import StorageDevice
 from repro.devices.hdd import HddModel
 from repro.devices.ssd import SsdModel
 from repro.io.device_queue import DeviceQueue
 from repro.io.request import Request
-from repro.schemes import Scheme, get_scheme, paper_schemes
-from repro.service.churn import ChurnManager
-from repro.service.slo import SloMonitor
+from repro.schemes.registry import get_scheme, paper_schemes
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.trace.blktrace import BlkTracer
@@ -52,6 +48,19 @@ from repro.workloads.multi_tenant import (
 from repro.workloads.tpcc import tpcc_workload
 from repro.workloads.web import web_server_workload
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.lbica import LbicaDecision
+    from repro.schemes.base import Scheme
+    from repro.service.churn import ChurnManager
+    from repro.service.slo import SloMonitor
+
+    #: The comparison schemes of the paper's evaluation — derived from the
+    #: scheme registry's ``paper_baseline`` flags.  This is the trio the
+    #: default figure grids iterate; the full registered set — including
+    #: the capacity-allocation competitors — is
+    #: :func:`repro.schemes.scheme_names`.
+    SCHEMES: tuple[str, ...]
+
 __all__ = [
     "ExperimentSystem",
     "RunResult",
@@ -62,13 +71,14 @@ __all__ = [
     "workload_descriptions",
 ]
 
-#: The comparison schemes of the paper's evaluation — derived from the
-#: scheme registry's ``paper_baseline`` flags (importing
-#: :mod:`repro.schemes` above registered the builtins).  This is the
-#: trio the default figure grids iterate; the full registered set —
-#: including the capacity-allocation competitors — is
-#: :func:`repro.schemes.scheme_names`.
-SCHEMES = paper_schemes()
+
+def __getattr__(name: str) -> tuple[str, ...]:
+    # SCHEMES is computed on first access: deriving it imports every
+    # scheme implementation, and building a system needs only its own.
+    if name == "SCHEMES":
+        schemes = globals()["SCHEMES"] = paper_schemes()
+        return schemes
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _random_read(interval_us, cache_blocks, rate_scale, max_outstanding):
@@ -358,6 +368,8 @@ class ExperimentSystem:
         ssd_model = SsdModel(config.ssd, rng=self.rngs.stream("ssd.jitter"))
         hdd_rng = self.rngs.stream("hdd.jitter")
         if config.hdd_disks > 1:
+            from repro.devices.array import StripedArrayModel
+
             hdd_model = StripedArrayModel(
                 n_disks=config.hdd_disks, config=config.hdd, rng=hdd_rng
             )
@@ -409,6 +421,8 @@ class ExperimentSystem:
         # their event sequences stay bit-identical.
         self.churn: ChurnManager | None = None
         if getattr(workload, "has_churn", False):
+            from repro.service.churn import ChurnManager
+
             self.churn = ChurnManager(
                 self.sim, self.controller, workload, balancer=self.balancer
             )
@@ -416,6 +430,8 @@ class ExperimentSystem:
         targets = slo_targets() if callable(slo_targets) else {}
         self.slo_monitor: SloMonitor | None = None
         if targets:
+            from repro.service.slo import SloMonitor
+
             self.slo_monitor = SloMonitor(
                 self.sim,
                 self.controller,

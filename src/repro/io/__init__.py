@@ -14,7 +14,20 @@ and manipulates:
   both LBICA's Group-3 tail bypass and SIB's selective bypass are built on.
 """
 
-from repro.io.request import DeviceOp, OpTag, Request
-from repro.io.device_queue import DeviceQueue, QueueStats
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.io.device_queue import DeviceQueue, QueueStats
+    from repro.io.request import DeviceOp, OpTag, Request
 
 __all__ = ["Request", "DeviceOp", "OpTag", "DeviceQueue", "QueueStats"]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.io.device_queue": ("DeviceQueue", "QueueStats"),
+        "repro.io.request": ("DeviceOp", "OpTag", "Request"),
+    },
+)

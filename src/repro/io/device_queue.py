@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.io.request import DeviceOp
 
@@ -187,10 +187,6 @@ class DeviceQueue:
         for op in self.pending:
             counts[op.tag] += 1 + len(op.merged)
         return counts
-
-    def pending_ops(self) -> Iterable[DeviceOp]:
-        """Iterate pending ops head-to-tail (no mutation)."""
-        return iter(self.pending)
 
     def estimated_wait(self, per_op_latency: float) -> list[tuple[DeviceOp, float]]:
         """SIB-style wait-time estimate for every pending op.

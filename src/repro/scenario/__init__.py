@@ -19,19 +19,24 @@ Quickstart::
         print(s.name, s.run().summary())
 """
 
-from repro.scenario.fingerprint import stats_fingerprint
-from repro.scenario.registry import (
-    SCENARIOS,
-    get_scenario,
-    register_scenario,
-    scenario_descriptions,
-)
-from repro.scenario.spec import (
-    ScenarioError,
-    ScenarioSpec,
-    load_scenario,
-    scenario_from_dict,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.scenario.fingerprint import stats_fingerprint
+    from repro.scenario.registry import (
+        SCENARIOS,
+        get_scenario,
+        register_scenario,
+        scenario_descriptions,
+    )
+    from repro.scenario.spec import (
+        ScenarioError,
+        ScenarioSpec,
+        load_scenario,
+        scenario_from_dict,
+    )
 
 __all__ = [
     "ScenarioSpec",
@@ -44,3 +49,22 @@ __all__ = [
     "get_scenario",
     "scenario_descriptions",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.scenario.fingerprint": ("stats_fingerprint",),
+        "repro.scenario.registry": (
+            "SCENARIOS",
+            "get_scenario",
+            "register_scenario",
+            "scenario_descriptions",
+        ),
+        "repro.scenario.spec": (
+            "ScenarioError",
+            "ScenarioSpec",
+            "load_scenario",
+            "scenario_from_dict",
+        ),
+    },
+)

@@ -86,7 +86,7 @@ class ScenarioError(ValueError):
 def _schemes() -> tuple[str, ...]:
     # Imported lazily so the scenario layer stays importable without
     # the scheme registry loaded; importing registers the builtins.
-    from repro.schemes import scheme_names
+    from repro.schemes.registry import scheme_names
 
     return scheme_names()
 
@@ -193,7 +193,7 @@ class ScenarioSpec:
         if not self.name or not isinstance(self.name, str):
             raise ScenarioError("scenario: name must be a non-empty string")
         if self.scheme not in _schemes():
-            from repro.schemes import unknown_scheme_error
+            from repro.schemes.registry import unknown_scheme_error
 
             raise ScenarioError(
                 f"scenario {self.name!r}: {unknown_scheme_error(self.scheme)}"

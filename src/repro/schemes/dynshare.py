@@ -36,52 +36,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.schemes.allocation import CapacityScheme, fair_shares
+from repro.schemes.configs import DynShareConfig
 from repro.schemes.registry import register_scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.system import ExperimentSystem
 
 __all__ = ["DynShareConfig", "ShareDecision", "DynamicShareScheme"]
-
-
-@dataclass
-class DynShareConfig:
-    """Dynamic-allocator tuning.
-
-    Attributes:
-        decision_interval_us: Period of the reallocation loop (aligned
-            to the monitoring interval by :class:`~repro.config.
-            SystemConfig`, like LBICA's decision loop).
-        min_share_blocks: Floor under any tenant's share; reallocation
-            never drains a tenant below it.
-        max_step_blocks: Largest quota move per tick — small steps keep
-            the allocator stable and give the hit-ratio curve distinct
-            nearby points to estimate slopes from.
-        ewma: Weight of the newest window in the smoothed per-tenant
-            miss pressure.
-        curve_points: Observed ``(share, hit_ratio)`` points retained
-            per tenant (the decision log keeps every decision; this
-            bounds only the working curve).
-    """
-
-    decision_interval_us: float = 50_000.0
-    min_share_blocks: int = 64
-    max_step_blocks: int = 256
-    ewma: float = 0.3
-    curve_points: int = 16
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` on inconsistent parameters."""
-        if self.decision_interval_us <= 0:
-            raise ValueError("decision_interval_us must be positive")
-        if self.min_share_blocks < 1:
-            raise ValueError("min_share_blocks must be >= 1")
-        if self.max_step_blocks < 1:
-            raise ValueError("max_step_blocks must be >= 1")
-        if not 0.0 < self.ewma <= 1.0:
-            raise ValueError("ewma must be in (0, 1]")
-        if self.curve_points < 2:
-            raise ValueError("curve_points must be >= 2")
 
 
 @dataclass(frozen=True)

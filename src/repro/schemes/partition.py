@@ -27,7 +27,7 @@ dynamic allocator (:mod:`repro.schemes.dynshare`) relaxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.schemes.allocation import (
@@ -35,52 +35,13 @@ from repro.schemes.allocation import (
     fair_shares,
     proportional_shares,
 )
+from repro.schemes.configs import PartitionConfig
 from repro.schemes.registry import register_scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.system import ExperimentSystem
 
 __all__ = ["PartitionConfig", "PartitionDecision", "StaticPartitionScheme"]
-
-#: Accepted ``PartitionConfig.variant`` values.
-_VARIANTS = ("fair", "proportional")
-
-
-@dataclass
-class PartitionConfig:
-    """Static-partitioning tuning.
-
-    Attributes:
-        variant: ``"fair"`` (equal shares) or ``"proportional"``
-            (weighted by ``weights``).
-        weights: Per-tenant weights for the proportional variant, in
-            ``tenant_id`` order; missing entries default to ``1.0`` and
-            extras are ignored.  Unused by ``fair``.
-        min_share_blocks: Floor under any tenant's share, so a tiny
-            weight still leaves room to make progress.
-        report_interval_us: Period of the observation tick that logs
-            occupancy snapshots (``0`` disables the periodic log; the
-            startup share assignment is always logged).
-    """
-
-    variant: str = "fair"
-    weights: list[float] = field(default_factory=list)
-    min_share_blocks: int = 64
-    report_interval_us: float = 50_000.0
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` on inconsistent parameters."""
-        if self.variant not in _VARIANTS:
-            raise ValueError(
-                f"partition variant must be one of {_VARIANTS}, got {self.variant!r}"
-            )
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("partition weights must be positive")
-        if self.min_share_blocks < 1:
-            raise ValueError("min_share_blocks must be >= 1")
-        if self.report_interval_us < 0:
-            raise ValueError("report_interval_us must be non-negative")
-
 
 @dataclass(frozen=True)
 class PartitionDecision:

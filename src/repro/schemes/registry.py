@@ -21,6 +21,14 @@ Adding a competitor scheme is therefore one class plus one call::
 
 after which ``ScenarioSpec(scheme="noop")``, ``--list-schemes``, and
 campaign sweeps over ``scheme`` all pick it up.
+
+Each built-in scheme registers itself at the bottom of its own module.
+The registry maps each built-in name to that module and imports it on
+the first lookup of the name, so building a system loads only the
+scheme it runs; the listing queries (:func:`scheme_names`,
+:func:`paper_schemes`, :func:`scheme_descriptions`) load all of them.
+Scheme configs live apart, in :mod:`repro.schemes.configs`, so
+:mod:`repro.config` imports no scheme implementation either.
 """
 
 from __future__ import annotations
@@ -48,38 +56,24 @@ __all__ = [
 #: the paper trio lists first regardless of import order.
 _REGISTRY: dict[str, type[Scheme]] = {}
 
-#: Modules whose import registers the built-in schemes.  The legacy
-#: controllers self-register at their module bottoms (they cannot be
-#: imported from here at load time — ``repro.config`` imports them, and
-#: they import :mod:`repro.schemes.base`, so a load-time import here
-#: would be circular); every query lazily imports the full set instead.
-_BUILTIN_MODULES = (
-    "repro.baselines.wb",
-    "repro.baselines.sib",
-    "repro.core.lbica",
-    "repro.schemes.partition",
-    "repro.schemes.dynshare",
-    "repro.schemes.slosteal",
-)
-_builtins_state = "unloaded"  # -> "loading" -> "loaded"
+#: Built-in scheme name -> the module whose import registers it.  The
+#: modules import :mod:`repro.schemes.registry` to register, so they are
+#: imported on demand rather than from here.
+_BUILTINS = {
+    "wb": "repro.baselines.wb",
+    "sib": "repro.baselines.sib",
+    "lbica": "repro.core.lbica",
+    "partition": "repro.schemes.partition",
+    "dynshare": "repro.schemes.dynshare",
+    "slosteal": "repro.schemes.slosteal",
+}
 
 
 def _ensure_builtins() -> None:
-    global _builtins_state
-    if _builtins_state != "unloaded":
-        # "loading" guards reentrancy (a builtin module querying the
-        # registry mid-import); "loaded" is the steady state.
-        return
-    _builtins_state = "loading"
-    try:
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-    except BaseException:
-        # A failed builtin import must surface again on the next query,
-        # not silently leave a partial registry behind.
-        _builtins_state = "unloaded"
-        raise
-    _builtins_state = "loaded"
+    # Importing an already-imported module is a dict lookup, and a
+    # failed import raises again on the next query.
+    for module in _BUILTINS.values():
+        importlib.import_module(module)
 
 
 def register_scheme(
@@ -88,10 +82,12 @@ def register_scheme(
     """Register a :class:`Scheme` subclass under its declared ``name``.
 
     Usable as a decorator.  Duplicate names are rejected (pass
-    ``overwrite=True`` to deliberately replace an entry); a scheme that
+    ``overwrite=True`` to deliberately replace an entry); a built-in
+    name is taken even before its module has loaded.  A scheme that
     declares a ``config_field`` must name a real
-    :class:`~repro.config.SystemConfig` attribute — checked lazily at
-    build time, because the config module itself imports scheme configs.
+    :class:`~repro.config.SystemConfig` attribute; that is checked when
+    :meth:`~repro.schemes.base.Scheme.from_system` reads it at build
+    time, so registering never imports :mod:`repro.config`.
 
     Returns:
         ``cls``, unchanged.
@@ -101,6 +97,11 @@ def register_scheme(
     name = cls.name
     if not name or not isinstance(name, str):
         raise ValueError(f"{cls.__name__}: scheme name must be a non-empty string")
+    if name in _BUILTINS:
+        # Load the built-in first, so a duplicate of its name is caught
+        # here and an overwrite is not undone when it loads later.  Its
+        # own registration finds itself mid-import, which returns at once.
+        importlib.import_module(_BUILTINS[name])
     if name in _REGISTRY and not overwrite:
         raise ValueError(
             f"scheme {name!r} is already registered "
@@ -126,11 +127,13 @@ def get_scheme(name: str) -> type[Scheme]:
             scheme — the error an unknown ``ScenarioSpec.scheme`` or CLI
             argument surfaces.
     """
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise unknown_scheme_error(name) from None
+    cls = _REGISTRY.get(name)
+    if cls is None and name in _BUILTINS:
+        importlib.import_module(_BUILTINS[name])
+        cls = _REGISTRY.get(name)
+    if cls is None:
+        raise unknown_scheme_error(name)
+    return cls
 
 
 def _ordered() -> list[tuple[str, type[Scheme]]]:

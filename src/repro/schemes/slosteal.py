@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Any
 from repro.analysis.metrics import percentile
 from repro.io.request import Request
 from repro.schemes.allocation import CapacityScheme, fair_shares
+from repro.schemes.configs import SloStealConfig
 from repro.schemes.registry import register_scheme
 from repro.service.slo import SloTarget
 
@@ -45,39 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.system import ExperimentSystem
 
 __all__ = ["SloStealConfig", "SloStealDecision", "SloStealScheme"]
-
-
-@dataclass
-class SloStealConfig:
-    """SLO-stealing tuning.
-
-    Attributes:
-        decision_interval_us: Period of the stealing loop (aligned to
-            the monitoring interval by
-            :class:`~repro.config.SystemConfig`).
-        min_share_blocks: Floor under any tenant's share; stealing never
-            drains a donor below it.
-        max_step_blocks: Largest quota move per tick.
-        donor_headroom: A tenant may donate only while its violation
-            ratio is at or below this (strictly less than 1.0 keeps a
-            safety margin between donors and the violation boundary).
-    """
-
-    decision_interval_us: float = 50_000.0
-    min_share_blocks: int = 64
-    max_step_blocks: int = 256
-    donor_headroom: float = 0.8
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` on inconsistent parameters."""
-        if self.decision_interval_us <= 0:
-            raise ValueError("decision_interval_us must be positive")
-        if self.min_share_blocks < 1:
-            raise ValueError("min_share_blocks must be >= 1")
-        if self.max_step_blocks < 1:
-            raise ValueError("max_step_blocks must be >= 1")
-        if not 0.0 < self.donor_headroom < 1.0:
-            raise ValueError("donor_headroom must be in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,19 @@ and migrations (with cache-share reclamation and rewarm) and
 the periodic compliance monitor.
 """
 
-from repro.service.churn import (
-    ChurnManager,
-    ServiceWorkload,
-    TenantEvent,
-    TenantLifecycle,
-    generate_lifecycles,
-)
-from repro.service.slo import ServiceError, SloMonitor, SloSample, SloTarget
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.churn import (
+        ChurnManager,
+        ServiceWorkload,
+        TenantEvent,
+        TenantLifecycle,
+        generate_lifecycles,
+    )
+    from repro.service.slo import ServiceError, SloMonitor, SloSample, SloTarget
 
 __all__ = [
     "ChurnManager",
@@ -26,3 +31,17 @@ __all__ = [
     "SloSample",
     "SloTarget",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.service.churn": (
+            "ChurnManager",
+            "ServiceWorkload",
+            "TenantEvent",
+            "TenantLifecycle",
+            "generate_lifecycles",
+        ),
+        "repro.service.slo": ("ServiceError", "SloMonitor", "SloSample", "SloTarget"),
+    },
+)

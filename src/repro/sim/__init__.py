@@ -14,7 +14,20 @@ This package provides the timing substrate every other subsystem runs on:
 Time is measured in **microseconds** (floats) throughout the project.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RngRegistry
 
 __all__ = ["Simulator", "RngRegistry"]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.sim.engine": ("Simulator",),
+        "repro.sim.rng": ("RngRegistry",),
+    },
+)

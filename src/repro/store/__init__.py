@@ -29,18 +29,23 @@ Quickstart::
     print(store.digests())          # ['<sha256...>']
 """
 
-from repro.store.artifact import RunArtifact
-from repro.store.run_store import (
-    RunKey,
-    RunStore,
-    SCHEMA_VERSION,
-    SchemaMismatchError,
-    StoreCorruptionError,
-    StoreError,
-    StoreMissError,
-    provenance,
-    stamped_artifact,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.store.artifact import RunArtifact
+    from repro.store.run_store import (
+        SCHEMA_VERSION,
+        RunKey,
+        RunStore,
+        SchemaMismatchError,
+        StoreCorruptionError,
+        StoreError,
+        StoreMissError,
+        provenance,
+        stamped_artifact,
+    )
 
 __all__ = [
     "RunArtifact",
@@ -54,3 +59,21 @@ __all__ = [
     "provenance",
     "stamped_artifact",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.store.artifact": ("RunArtifact",),
+        "repro.store.run_store": (
+            "SCHEMA_VERSION",
+            "RunKey",
+            "RunStore",
+            "SchemaMismatchError",
+            "StoreCorruptionError",
+            "StoreError",
+            "StoreMissError",
+            "provenance",
+            "stamped_artifact",
+        ),
+    },
+)

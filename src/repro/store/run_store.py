@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
+import repro
 from repro.store.artifact import RunArtifact, _canonical
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -121,8 +122,6 @@ def _git_commit() -> Optional[str]:
 
 def provenance() -> dict[str, Optional[str]]:
     """Who/what produced an artifact: repro version, git commit, time."""
-    import repro  # lazy: repro/__init__ imports this package
-
     return {
         "repro_version": repro.__version__,
         "git_commit": _git_commit(),

@@ -33,15 +33,15 @@ public corpora — back into simulated load, streaming end to end:
 ``docs/TRACES.md`` is the user-facing guide.
 """
 
-from repro.trace.blktrace import BlkTracer
-from repro.trace.iostat import IntervalSample, IostatMonitor
-from repro.trace.parser import (
-    TraceParseError,
-    iter_trace,
-    load_trace,
-    save_trace,
-)
-from repro.trace.records import TraceRecord
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.trace.blktrace import BlkTracer
+    from repro.trace.iostat import IntervalSample, IostatMonitor
+    from repro.trace.parser import TraceParseError, iter_trace, load_trace, save_trace
+    from repro.trace.records import TraceRecord
 
 __all__ = [
     "BlkTracer",
@@ -53,3 +53,18 @@ __all__ = [
     "save_trace",
     "TraceParseError",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.trace.blktrace": ("BlkTracer",),
+        "repro.trace.iostat": ("IntervalSample", "IostatMonitor"),
+        "repro.trace.parser": (
+            "TraceParseError",
+            "iter_trace",
+            "load_trace",
+            "save_trace",
+        ),
+        "repro.trace.records": ("TraceRecord",),
+    },
+)

@@ -22,33 +22,38 @@ sequential read).  This package provides:
   workloads sharing one cache under per-VM ``tenant_id`` accounting.
 """
 
-from repro.workloads.access_patterns import (
-    HotColdPattern,
-    MixPattern,
-    SequentialPattern,
-    UniformPattern,
-    ZipfPattern,
-)
-from repro.workloads.base import PhaseSpec, Workload, WorkloadStats
-from repro.workloads.bootstorm import boot_storm_workload
-from repro.workloads.mail import mail_server_workload
-from repro.workloads.multi_tenant import (
-    MultiTenantWorkload,
-    TenantSpec,
-    bootstorm_neighbors_workload,
-    consolidated3_workload,
-)
-from repro.workloads.replay import ReplayWorkload
-from repro.workloads.spec import load_workload_spec, workload_from_spec
-from repro.workloads.synthetic import (
-    mixed_read_write_workload,
-    random_read_workload,
-    random_write_workload,
-    sequential_read_workload,
-    sequential_write_workload,
-)
-from repro.workloads.tpcc import tpcc_workload
-from repro.workloads.web import web_server_workload
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.access_patterns import (
+        HotColdPattern,
+        MixPattern,
+        SequentialPattern,
+        UniformPattern,
+        ZipfPattern,
+    )
+    from repro.workloads.base import PhaseSpec, Workload, WorkloadStats
+    from repro.workloads.bootstorm import boot_storm_workload
+    from repro.workloads.mail import mail_server_workload
+    from repro.workloads.multi_tenant import (
+        MultiTenantWorkload,
+        TenantSpec,
+        bootstorm_neighbors_workload,
+        consolidated3_workload,
+    )
+    from repro.workloads.replay import ReplayWorkload
+    from repro.workloads.spec import load_workload_spec, workload_from_spec
+    from repro.workloads.synthetic import (
+        mixed_read_write_workload,
+        random_read_workload,
+        random_write_workload,
+        sequential_read_workload,
+        sequential_write_workload,
+    )
+    from repro.workloads.tpcc import tpcc_workload
+    from repro.workloads.web import web_server_workload
 
 __all__ = [
     "Workload",
@@ -76,3 +81,36 @@ __all__ = [
     "workload_from_spec",
     "load_workload_spec",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.workloads.access_patterns": (
+            "HotColdPattern",
+            "MixPattern",
+            "SequentialPattern",
+            "UniformPattern",
+            "ZipfPattern",
+        ),
+        "repro.workloads.base": ("PhaseSpec", "Workload", "WorkloadStats"),
+        "repro.workloads.bootstorm": ("boot_storm_workload",),
+        "repro.workloads.mail": ("mail_server_workload",),
+        "repro.workloads.multi_tenant": (
+            "MultiTenantWorkload",
+            "TenantSpec",
+            "bootstorm_neighbors_workload",
+            "consolidated3_workload",
+        ),
+        "repro.workloads.replay": ("ReplayWorkload",),
+        "repro.workloads.spec": ("load_workload_spec", "workload_from_spec"),
+        "repro.workloads.synthetic": (
+            "mixed_read_write_workload",
+            "random_read_workload",
+            "random_write_workload",
+            "sequential_read_workload",
+            "sequential_write_workload",
+        ),
+        "repro.workloads.tpcc": ("tpcc_workload",),
+        "repro.workloads.web": ("web_server_workload",),
+    },
+)

@@ -30,18 +30,20 @@ beside a steady web server).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.io.request import Request
-from repro.service.churn import TenantLifecycle
-from repro.service.slo import SloTarget
 from repro.workloads.base import Workload, WorkloadStats
 from repro.workloads.bootstorm import boot_storm_workload
 from repro.workloads.mail import mail_server_workload
 from repro.workloads.tpcc import tpcc_workload
 from repro.workloads.web import web_server_workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.churn import TenantLifecycle
+    from repro.service.slo import SloTarget
 
 __all__ = [
     "TenantSpec",

@@ -60,6 +60,21 @@ class TestSsdModel:
         times = {m.service_time(read_op(), 0.0) for _ in range(10)}
         assert len(times) > 1
 
+    def test_jitter_buffer_matches_one_scalar_draw_per_op(self):
+        # Jitter is drawn in blocks of 256; 600 ops cross two refills.
+        # Each op must cost its jitter-free price times the next scalar
+        # lognormal draw of an identically seeded generator.
+        cfg = SsdConfig(jitter_sigma=0.15)
+        jittered = SsdModel(cfg, rng=np.random.default_rng(42))
+        plain = SsdModel(SsdConfig(jitter_sigma=0.0))
+        ref = np.random.default_rng(42)
+        for i in range(600):
+            op = write_op(lba=i, n=1 + i % 3) if i % 4 == 0 else read_op(lba=i)
+            now = i * 400.0
+            base = plain.service_time(op, now)
+            expected = base * float(ref.lognormal(0.0, cfg.jitter_sigma))
+            assert jittered.service_time(op, now) == expected, i
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SsdConfig(read_us=-1).validate()

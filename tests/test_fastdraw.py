@@ -75,6 +75,16 @@ class TestRawDraws:
         with pytest.raises(ValueError):
             RawDraws(np.random.MT19937(3))
 
+    def test_sized_exponential_equals_scalar_calls(self):
+        # The self-check takes its ziggurat-tail reference from one sized
+        # call; that relies on it matching n scalar calls value for value
+        # and leaving the bit generator in the same state.
+        sized = np.random.Generator(np.random.PCG64(20190325))
+        scalar = np.random.Generator(np.random.PCG64(20190325))
+        values = sized.standard_exponential(size=4_000).tolist()
+        assert values == [float(scalar.standard_exponential()) for _ in range(4_000)]
+        assert sized.bit_generator.state == scalar.bit_generator.state
+
     def test_replication_verified_on_this_numpy(self):
         # The installed numpy must pass the cross-check — otherwise every
         # workload silently draws through the Generator and the

@@ -1,7 +1,9 @@
 """Public-API completeness: every module imports, every __all__ resolves."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,12 @@ ALL_MODULES = sorted(
     name
     for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro.")
     if not name.endswith("__main__")
+)
+
+PACKAGES = ["repro"] + sorted(
+    name
+    for _, name, is_package in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if is_package
 )
 
 
@@ -42,3 +50,39 @@ def test_every_public_module_has_docstring():
 
 def test_package_version():
     assert repro.__version__ == "1.0.0"
+
+
+def _lazy_declarations(package):
+    """A package's ``TYPE_CHECKING`` imports and its ``_lazy_exports`` map.
+
+    Both as ``{(defining module, name)}``; the map is ``None`` for a
+    package that does not export lazily.
+    """
+    module = importlib.import_module(package)
+    tree = ast.parse(Path(module.__file__).read_text())
+    typed, lazy = set(), None
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for stmt in node.body:
+                if isinstance(stmt, ast.ImportFrom):
+                    typed.update((stmt.module, alias.name) for alias in stmt.names)
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and ast.unparse(node.value.func) == "_lazy_exports"
+        ):
+            exports = ast.literal_eval(node.value.args[1])
+            lazy = {(mod, name) for mod, names in exports.items() for name in names}
+    return typed, lazy
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_lazy_exports_match_type_checking_imports(package):
+    # What type checkers see, what resolves at run time and what the
+    # package declares public must be the same set of names.
+    typed, lazy = _lazy_declarations(package)
+    if lazy is None:
+        return
+    assert typed == lazy
+    exported = importlib.import_module(package).__all__
+    assert sorted(exported) == sorted(name for _, name in lazy)
