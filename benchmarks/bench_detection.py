@@ -20,7 +20,7 @@ def test_burst_detection_quality(benchmark, paper_runner):
             scripted = ExperimentSystem.build(
                 workload, "lbica", paper_runner.config
             ).workload.burst_intervals()
-            detected = [d.interval_index for d in result.lbica_decisions if d.burst]
+            detected = [d.interval_index for d in result.scheme_decisions if d.burst]
             out[workload] = detection_quality(detected, scripted, slack=30)
         return out
 

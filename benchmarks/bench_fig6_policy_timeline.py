@@ -24,4 +24,4 @@ def test_fig6_policy_timeline(benchmark, paper_runner):
 
     # the write-intensive (Group 3) phase must actually shed queue tail
     lbica = paper_runner.run("mail", "lbica")
-    assert sum(d.bypassed for d in lbica.lbica_decisions) > 0
+    assert sum(d.bypassed for d in lbica.scheme_decisions) > 0

@@ -95,7 +95,7 @@ def main() -> None:
 
     print()
     print("LBICA's reactions:")
-    for decision in result.lbica_decisions:
+    for decision in result.scheme_decisions:
         if decision.policy_assigned or (decision.burst and decision.bypassed):
             print(
                 f"  interval {decision.interval_index:3d}: "
@@ -103,7 +103,7 @@ def main() -> None:
                 f"policy={decision.policy_active.value} "
                 f"bypassed={decision.bypassed}"
             )
-    total_bypassed = sum(d.bypassed for d in result.lbica_decisions)
+    total_bypassed = sum(d.bypassed for d in result.scheme_decisions)
     print()
     print(f"Total tail-bypassed ops: {total_bypassed}")
     print(f"Mean latency: {result.mean_latency:.1f}µs")

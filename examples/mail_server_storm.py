@@ -41,7 +41,7 @@ def main() -> None:
         interval = int(change.time / runner.config.interval_us)
         print(f"  interval {interval:3d}: -> {change.policy.value}")
 
-    bypassed_ops = sum(d.bypassed for d in lbica.lbica_decisions)
+    bypassed_ops = sum(d.bypassed for d in lbica.scheme_decisions)
     print()
     print(f"Tail-bypassed operations during the delivery storm: {bypassed_ops}")
     print()

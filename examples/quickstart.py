@@ -24,7 +24,7 @@ def main() -> None:
     print(result.summary())
     print()
     print("LBICA decisions at burst intervals:")
-    for decision in result.lbica_decisions:
+    for decision in result.scheme_decisions:
         if decision.burst:
             mix = ", ".join(f"{k}:{v:.0%}" for k, v in decision.mix.items())
             assigned = (

@@ -18,6 +18,8 @@ discrete-event simulation:
   ``lbica`` plus the ``partition`` and ``dynshare`` capacity
   allocators; register your own with
   :func:`~repro.schemes.register_scheme`);
+- :mod:`repro.registry` — the one class registry behind schemes,
+  trace adapters and simlint rules;
 - :mod:`repro.analysis` — metrics, series, ASCII plots, reports;
 - :mod:`repro.experiments` — one harness per paper figure (4, 5, 6, 7)
   plus headline numbers and ablations;

@@ -247,9 +247,9 @@ class CacheController:
         if request.nblocks != 1:
             self._do_read(request, tenant)
             return
-        # Single-block read, inlined from _do_read's fast path — the
-        # dominant datapath operation by far (read-mostly workloads with
-        # 4-KiB requests); same accounting, one frame less per request.
+        # Single-block reads, the dominant datapath operation by far
+        # (read-mostly workloads with 4-KiB requests), are handled here:
+        # the accounting of one pass of _do_read's loop, minus a call.
         now = self.sim.now
         request._outstanding += 1  # inlined add_wait(1)
         lba = request.lba
@@ -302,44 +302,7 @@ class CacheController:
         # Every block contributes exactly one synchronous wait, and
         # completions are only ever delivered through the calendar, so
         # the whole request's waits can be credited up front.
-        nblocks = request.nblocks
-        request.add_wait(nblocks)
-        if nblocks == 1:
-            # Single-block requests dominate the mix; skip the range
-            # loop entirely.
-            lba = request.lba
-            block = lookup(lba, now)
-            if block is not None:
-                stats.read_hit_blocks += 1
-                tenant.read_hit_blocks += 1
-                op = DeviceOp(
-                    lba,
-                    1,
-                    False,
-                    read_tag,
-                    request,
-                    True,
-                    not block.dirty,
-                    self._sync_done,
-                )
-                served_by.add(ssd.name)
-                ssd.submit(op)
-            else:
-                stats.read_miss_blocks += 1
-                tenant.read_miss_blocks += 1
-                op = DeviceOp(
-                    lba,
-                    1,
-                    False,
-                    read_tag,
-                    request,
-                    True,
-                    False,
-                    self._miss_read_done,
-                )
-                served_by.add(hdd.name)
-                hdd.submit(op)
-            return
+        request.add_wait(request.nblocks)
         for lba in range(request.lba, request.end_lba):
             block = lookup(lba, now)
             if block is not None:

@@ -7,8 +7,8 @@ enforces the invariants statically, at lint time:
 - :mod:`repro.devtools.simlint.engine` — :class:`FileContext`,
   :class:`Violation`, ``# simlint: ignore[CODE]`` pragmas, the driver;
 - :mod:`repro.devtools.simlint.registry` — ``register_rule`` and rule
-  lookup (the :mod:`repro.schemes.registry` pattern applied to rules);
-- :mod:`repro.devtools.simlint.rules` — the built-in SL001–SL008 rules;
+  lookup (a :class:`repro.registry.Registry`, like the scheme registry);
+- :mod:`repro.devtools.simlint.rules` — the built-in SL001–SL010 rules;
 - :mod:`repro.devtools.simlint.baseline` — the count-based ratchet
   behind ``--baseline`` / ``--update-baseline``;
 - :mod:`repro.devtools.simlint.cli` — ``repro lint``.

@@ -1,9 +1,9 @@
 """The simlint rule registry: invariant checks by code.
 
-Mirrors :mod:`repro.schemes.registry`: a flat dict of registered rule
-classes, lazily populated with the built-ins on first query, with a
-``register_rule`` decorator for third-party rules.  Adding a rule is one
-class plus one call::
+A :class:`repro.registry.Registry`, like the scheme and trace-adapter
+registries: rule classes register under their ``code``, the built-ins
+load on the first query, duplicates are rejected, and listings are in
+code order.  Adding a rule is one class plus one call::
 
     from repro.devtools.simlint import Rule, Violation, register_rule
 
@@ -21,10 +21,8 @@ after which ``repro lint`` runs it and ``--explain SL900`` documents it.
 
 from __future__ import annotations
 
-import importlib
-from typing import Optional
-
 from repro.devtools.simlint.engine import Rule
+from repro.registry import Registry
 
 __all__ = [
     "register_rule",
@@ -35,67 +33,41 @@ __all__ = [
     "unknown_rule_error",
 ]
 
-#: Registered rule classes by code.  Treat as read-only; use
-#: :func:`register_rule` to add entries.  Query order is by code.
-_REGISTRY: dict[str, type[Rule]] = {}
-
-#: Modules whose import registers the built-in rules.  Imported lazily on
-#: the first query (same pattern as the scheme registry) so that merely
-#: importing :mod:`repro.devtools.simlint` stays cheap and so external
-#: rule packages can register before or after the built-ins load.
-_BUILTIN_MODULES = ("repro.devtools.simlint.rules",)
-_builtins_state = "unloaded"  # -> "loading" -> "loaded"
-
-
-def _ensure_builtins() -> None:
-    global _builtins_state
-    if _builtins_state != "unloaded":
-        # "loading" guards reentrancy (a builtin module querying the
-        # registry mid-import); "loaded" is the steady state.
-        return
-    _builtins_state = "loading"
-    try:
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-    except BaseException:
-        # A failed builtin import must surface again on the next query,
-        # not silently leave a partial registry behind.
-        _builtins_state = "unloaded"
-        raise
-    _builtins_state = "loaded"
+#: Every built-in rule lives in one module, which imports this one to
+#: register, so it loads on the first query: importing
+#: :mod:`repro.devtools.simlint` stays cheap, and external rule packages
+#: can register before or after the built-ins load.
+_RULES = Registry(
+    Rule,
+    key="code",
+    kind="rule",
+    source=__name__,
+    builtins=dict.fromkeys(
+        [f"SL{n:03d}" for n in range(1, 11)], "repro.devtools.simlint.rules"
+    ),
+    order="code",
+)
 
 
 def register_rule(cls: type[Rule], *, overwrite: bool = False) -> type[Rule]:
     """Register a :class:`Rule` subclass under its declared ``code``.
 
     Usable as a decorator.  Duplicate codes are rejected (pass
-    ``overwrite=True`` to deliberately replace an entry).
+    ``overwrite=True`` to deliberately replace an entry); a built-in
+    code is taken even before the built-in rules have loaded.
 
     Returns:
         ``cls``, unchanged.
     """
-    if not isinstance(cls, type) or not issubclass(cls, Rule):
-        raise TypeError(f"register_rule expects a Rule subclass, got {cls!r}")
-    code = cls.code
-    if not code or not isinstance(code, str):
-        raise ValueError(f"{cls.__name__}: rule code must be a non-empty string")
+    _RULES.check(cls)
     if not cls.title or not isinstance(cls.title, str):
         raise ValueError(f"{cls.__name__}: rule title must be a non-empty string")
-    if code in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"rule {code!r} is already registered "
-            f"(by {_REGISTRY[code].__name__}); pass overwrite=True to replace"
-        )
-    _REGISTRY[code] = cls
-    return cls
+    return _RULES.register(cls, overwrite=overwrite)
 
 
 def unknown_rule_error(code: object) -> ValueError:
     """The canonical unknown-rule error, naming the registry source."""
-    return ValueError(
-        f"unknown rule {code!r}; registered rules "
-        f"(repro.devtools.simlint.registry): {', '.join(rule_codes())}"
-    )
+    return _RULES.unknown(code)
 
 
 def get_rule(code: str) -> type[Rule]:
@@ -105,33 +77,19 @@ def get_rule(code: str) -> type[Rule]:
         ValueError: Naming the registry and listing every registered
             rule — the error an unknown ``--explain`` argument surfaces.
     """
-    _ensure_builtins()
-    try:
-        return _REGISTRY[code]
-    except KeyError:
-        raise unknown_rule_error(code) from None
-
-
-def _ordered() -> list[tuple[str, type[Rule]]]:
-    _ensure_builtins()
-    return sorted(_REGISTRY.items())
+    return _RULES.get(code)
 
 
 def rule_codes() -> tuple[str, ...]:
     """Every registered rule code, sorted."""
-    return tuple(code for code, _ in _ordered())
+    return _RULES.keys()
 
 
 def rule_descriptions() -> dict[str, str]:
     """Every registered rule with its one-line title."""
-    return {code: cls.title for code, cls in _ordered()}
+    return {code: cls.title for code, cls in _RULES.items()}
 
 
 def all_rules() -> tuple[Rule, ...]:
     """One instance of every registered rule, in code order."""
-    return tuple(cls() for _, cls in _ordered())
-
-
-def _registered(code: str) -> Optional[type[Rule]]:
-    """Internal: the entry for ``code`` or ``None`` (tests and tooling)."""
-    return _REGISTRY.get(code)
+    return tuple(cls() for _, cls in _RULES.items())

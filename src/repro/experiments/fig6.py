@@ -66,7 +66,7 @@ def generate_fig6(
             )
         )
         timeline: list[tuple[int, str, str, dict]] = []
-        for decision in result.lbica_decisions:
+        for decision in result.scheme_decisions:
             if decision.policy_assigned is not None:
                 timeline.append(
                     (
@@ -100,7 +100,7 @@ def generate_fig6(
                     passed=passed,
                 )
             )
-        bursts = [d.interval_index for d in result.lbica_decisions if d.burst]
+        bursts = [d.interval_index for d in result.scheme_decisions if d.burst]
         checks.append(
             ShapeCheck(
                 name=f"{workload}: burst detected",

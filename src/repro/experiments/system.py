@@ -49,7 +49,6 @@ from repro.workloads.tpcc import tpcc_workload
 from repro.workloads.web import web_server_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.lbica import LbicaDecision
     from repro.schemes.base import Scheme
     from repro.service.churn import ChurnManager
     from repro.service.slo import SloMonitor
@@ -257,13 +256,11 @@ class RunResult:
     hdd_queue_stats: dict
     workload_stats: dict
     policy_log: list[PolicyChange]
-    lbica_decisions: list[LbicaDecision] = field(default_factory=list)
-    sib_rounds: int = 0
-    sib_overhead_us: float = 0.0
     events_processed: int = 0
     #: The scheme's own decision log (``Scheme.decision_log()`` — one
-    #: record per control-loop evaluation, scheme-specific type).  For
-    #: lbica this aliases :attr:`lbica_decisions`.
+    #: record per control-loop evaluation, scheme-specific type: an
+    #: :class:`~repro.core.lbica.LbicaDecision` per lbica interval, a
+    #: :class:`~repro.baselines.sib.SibRound` per sib round).
     scheme_decisions: list = field(default_factory=list)
     #: Scheme-specific summary counters (``Scheme.summary_stats()``).
     scheme_stats: dict = field(default_factory=dict)
@@ -448,7 +445,6 @@ class ExperimentSystem:
         self._read_latencies: list[float] = []
         self._write_latencies: list[float] = []
         self._tenant_latencies: dict[int, list[float]] = {}
-        self._bypassed = 0
         self.controller.add_completion_hook(self._on_complete)
         self.controller.add_completion_hook(self.monitor.record_completion)
         self.controller.add_completion_hook(self.workload.on_request_complete)
@@ -511,8 +507,6 @@ class ExperimentSystem:
         if tenant_lats is None:
             tenant_lats = self._tenant_latencies[request.tenant_id] = []
         tenant_lats.append(lat)
-        if request.bypassed:
-            self._bypassed += 1
 
     # ------------------------------------------------------------------
     def warm_cache(self) -> int:
@@ -564,17 +558,6 @@ class ExperimentSystem:
         if self.telemetry is not None:
             self.telemetry.finish()
 
-        # Dispatch on the registered scheme name rather than importing the
-        # concrete controller classes (SL004): the registry owns those.
-        lbica_decisions: list[LbicaDecision] = []
-        sib_rounds = 0
-        sib_overhead = 0.0
-        if self.balancer.name == "lbica":
-            lbica_decisions = self.balancer.decisions
-        elif self.balancer.name == "sib":
-            sib_rounds = len(self.balancer.rounds)
-            sib_overhead = self.balancer.total_overhead_us
-
         stats = self.controller.stats
         wl_stats = getattr(self.workload, "stats", None)
         tenant_stats: dict[int, dict] = {}
@@ -596,7 +579,7 @@ class ExperimentSystem:
             latencies=self._latencies,
             read_latencies=self._read_latencies,
             write_latencies=self._write_latencies,
-            bypassed_requests=self._bypassed,
+            bypassed_requests=sum(ts.bypassed for ts in stats.tenants.values()),
             cache_stats={
                 "requests": stats.requests,
                 "read_hit_ratio": stats.read_hit_ratio,
@@ -630,9 +613,6 @@ class ExperimentSystem:
                 ),
             },
             policy_log=list(stats.policy_log),
-            lbica_decisions=lbica_decisions,
-            sib_rounds=sib_rounds,
-            sib_overhead_us=sib_overhead,
             scheme_decisions=list(self.balancer.decision_log()),
             scheme_stats=self.balancer.summary_stats(),
             events_processed=self.sim.events_processed,

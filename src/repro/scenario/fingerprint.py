@@ -45,7 +45,9 @@ def stats_fingerprint(result: "RunResult") -> dict[str, Any]:
         "cache_load_sum": sum(result.cache_load_series()),
         "disk_load_sum": sum(result.disk_load_series()),
         "n_policy_log": len(result.policy_log),
-        "n_lbica_decisions": len(result.lbica_decisions),
+        "n_lbica_decisions": (
+            len(result.scheme_decisions) if result.scheme == "lbica" else 0
+        ),
         "tenant_stats": {str(t): s for t, s in result.tenant_stats.items()},
     }
     # Service-layer digests are appended only when the run produced

@@ -22,20 +22,22 @@ Adding a competitor scheme is therefore one class plus one call::
 after which ``ScenarioSpec(scheme="noop")``, ``--list-schemes``, and
 campaign sweeps over ``scheme`` all pick it up.
 
-Each built-in scheme registers itself at the bottom of its own module.
-The registry maps each built-in name to that module and imports it on
-the first lookup of the name, so building a system loads only the
-scheme it runs; the listing queries (:func:`scheme_names`,
-:func:`paper_schemes`, :func:`scheme_descriptions`) load all of them.
-Scheme configs live apart, in :mod:`repro.schemes.configs`, so
+The table is a :class:`repro.registry.Registry`.  Each built-in scheme
+registers itself at the bottom of its own module, and the registry maps
+each built-in name to that module: :func:`get_scheme` imports only the
+named scheme's module, so building a system loads only the scheme it
+runs, while the listing queries (:func:`scheme_names`,
+:func:`paper_schemes`, :func:`scheme_descriptions`) load all of them and
+order them by each class's ``registry_order``, so the paper trio lists
+first.  Scheme configs live apart, in :mod:`repro.schemes.configs`, so
 :mod:`repro.config` imports no scheme implementation either.
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
+from repro.registry import Registry
 from repro.schemes.base import Scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,30 +52,21 @@ __all__ = [
     "build_scheme",
 ]
 
-#: Registered scheme classes by name.  Treat as read-only; use
-#: :func:`register_scheme` to add entries.  Query order is by each
-#: class's ``registry_order`` (ties broken by registration order), so
-#: the paper trio lists first regardless of import order.
-_REGISTRY: dict[str, type[Scheme]] = {}
-
-#: Built-in scheme name -> the module whose import registers it.  The
-#: modules import :mod:`repro.schemes.registry` to register, so they are
-#: imported on demand rather than from here.
-_BUILTINS = {
-    "wb": "repro.baselines.wb",
-    "sib": "repro.baselines.sib",
-    "lbica": "repro.core.lbica",
-    "partition": "repro.schemes.partition",
-    "dynshare": "repro.schemes.dynshare",
-    "slosteal": "repro.schemes.slosteal",
-}
-
-
-def _ensure_builtins() -> None:
-    # Importing an already-imported module is a dict lookup, and a
-    # failed import raises again on the next query.
-    for module in _BUILTINS.values():
-        importlib.import_module(module)
+_SCHEMES = Registry(
+    Scheme,
+    key="name",
+    kind="scheme",
+    source=__name__,
+    builtins={
+        "wb": "repro.baselines.wb",
+        "sib": "repro.baselines.sib",
+        "lbica": "repro.core.lbica",
+        "partition": "repro.schemes.partition",
+        "dynshare": "repro.schemes.dynshare",
+        "slosteal": "repro.schemes.slosteal",
+    },
+    order="registry_order",
+)
 
 
 def register_scheme(
@@ -92,31 +85,12 @@ def register_scheme(
     Returns:
         ``cls``, unchanged.
     """
-    if not isinstance(cls, type) or not issubclass(cls, Scheme):
-        raise TypeError(f"register_scheme expects a Scheme subclass, got {cls!r}")
-    name = cls.name
-    if not name or not isinstance(name, str):
-        raise ValueError(f"{cls.__name__}: scheme name must be a non-empty string")
-    if name in _BUILTINS:
-        # Load the built-in first, so a duplicate of its name is caught
-        # here and an overwrite is not undone when it loads later.  Its
-        # own registration finds itself mid-import, which returns at once.
-        importlib.import_module(_BUILTINS[name])
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"scheme {name!r} is already registered "
-            f"(by {_REGISTRY[name].__name__}); pass overwrite=True to replace"
-        )
-    _REGISTRY[name] = cls
-    return cls
+    return _SCHEMES.register(cls, overwrite=overwrite)
 
 
 def unknown_scheme_error(name: object) -> ValueError:
     """The canonical unknown-scheme error, naming the registry source."""
-    return ValueError(
-        f"unknown scheme {name!r}; registered schemes "
-        f"(repro.schemes.registry): {', '.join(scheme_names())}"
-    )
+    return _SCHEMES.unknown(name)
 
 
 def get_scheme(name: str) -> type[Scheme]:
@@ -127,41 +101,24 @@ def get_scheme(name: str) -> type[Scheme]:
             scheme — the error an unknown ``ScenarioSpec.scheme`` or CLI
             argument surfaces.
     """
-    cls = _REGISTRY.get(name)
-    if cls is None and name in _BUILTINS:
-        importlib.import_module(_BUILTINS[name])
-        cls = _REGISTRY.get(name)
-    if cls is None:
-        raise unknown_scheme_error(name)
-    return cls
-
-
-def _ordered() -> list[tuple[str, type[Scheme]]]:
-    _ensure_builtins()
-    # sorted() is stable, so equal registry_order keeps arrival order.
-    return sorted(_REGISTRY.items(), key=lambda kv: kv[1].registry_order)
+    return _SCHEMES.get(name)
 
 
 def scheme_names() -> tuple[str, ...]:
     """Every registered scheme name (``registry_order``, then arrival)."""
-    return tuple(name for name, _ in _ordered())
+    return _SCHEMES.keys()
 
 
 def paper_schemes() -> tuple[str, ...]:
     """The paper's comparison baselines (``paper_baseline=True``)."""
-    return tuple(name for name, cls in _ordered() if cls.paper_baseline)
+    return tuple(name for name, cls in _SCHEMES.items() if cls.paper_baseline)
 
 
 def scheme_descriptions() -> dict[str, str]:
     """Every registered scheme with its one-line description."""
-    return {name: cls.describe() for name, cls in _ordered()}
+    return {name: cls.describe() for name, cls in _SCHEMES.items()}
 
 
 def build_scheme(name: str, system: "ExperimentSystem") -> Scheme:
     """Construct (and attach) the named scheme against a wired system."""
     return get_scheme(name).from_system(system)
-
-
-def _registered(name: str) -> Optional[type[Scheme]]:
-    """Internal: the entry for ``name`` or ``None`` (tests and tooling)."""
-    return _REGISTRY.get(name)

@@ -9,11 +9,12 @@ translates one *line* of a foreign format into a canonical
 through one adapter instance, so the streaming property is preserved no
 matter the format.
 
-The registry mirrors :mod:`repro.schemes.registry`: classes register
-under a declared ``name``, duplicates are rejected, built-ins load
-lazily on first query, and :func:`get_adapter` raises the canonical
-unknown-name error listing every registered adapter.  Adding a format is
-one class::
+The registry is a :class:`repro.registry.Registry`, like the scheme and
+simlint rule registries: classes register under a declared ``name``,
+duplicates are rejected, :func:`get_adapter` imports only the named
+built-in's module while the listings import all three, and an unknown
+name raises the canonical error listing every registered adapter.
+Adding a format is one class::
 
     from repro.trace.adapters import TraceAdapter, register_adapter
 
@@ -36,9 +37,9 @@ concurrent iterations.
 
 from __future__ import annotations
 
-import importlib
 from typing import Optional
 
+from repro.registry import Registry
 from repro.trace.records import TraceRecord
 
 __all__ = [
@@ -49,23 +50,6 @@ __all__ = [
     "adapter_descriptions",
     "unknown_adapter_error",
 ]
-
-#: Registered adapter classes by name.  Treat as read-only; use
-#: :func:`register_adapter` to add entries.  Query order is by each
-#: class's ``registry_order`` (ties broken by registration order), so
-#: the native format lists first regardless of import order.
-_REGISTRY: dict[str, type["TraceAdapter"]] = {}
-
-#: Modules whose import registers the built-in adapters.  Loaded lazily
-#: on first query — the native adapter imports the parser module, which
-#: resolves adapters lazily in turn, so a load-time import here would be
-#: circular.
-_BUILTIN_MODULES = (
-    "repro.trace.adapters.native",
-    "repro.trace.adapters.blkparse",
-    "repro.trace.adapters.msr",
-)
-_builtins_state = "unloaded"  # -> "loading" -> "loaded"
 
 
 class TraceAdapter:
@@ -113,22 +97,20 @@ class TraceAdapter:
         return cls.description or cls.__name__
 
 
-def _ensure_builtins() -> None:
-    global _builtins_state
-    if _builtins_state != "unloaded":
-        # "loading" guards reentrancy (a builtin module querying the
-        # registry mid-import); "loaded" is the steady state.
-        return
-    _builtins_state = "loading"
-    try:
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-    except BaseException:
-        # A failed builtin import must surface again on the next query,
-        # not silently leave a partial registry behind.
-        _builtins_state = "unloaded"
-        raise
-    _builtins_state = "loaded"
+#: The built-in modules import this package to register, so the registry
+#: imports them on demand rather than from here.
+_ADAPTERS = Registry(
+    TraceAdapter,
+    key="name",
+    kind="trace adapter",
+    source=__name__,
+    builtins={
+        "native": "repro.trace.adapters.native",
+        "blkparse": "repro.trace.adapters.blkparse",
+        "msr": "repro.trace.adapters.msr",
+    },
+    order="registry_order",
+)
 
 
 def register_adapter(
@@ -137,33 +119,18 @@ def register_adapter(
     """Register a :class:`TraceAdapter` subclass under its ``name``.
 
     Usable as a decorator.  Duplicate names are rejected (pass
-    ``overwrite=True`` to deliberately replace an entry).
+    ``overwrite=True`` to deliberately replace an entry); a built-in
+    name is taken even before its module has loaded.
 
     Returns:
         ``cls``, unchanged.
     """
-    if not isinstance(cls, type) or not issubclass(cls, TraceAdapter):
-        raise TypeError(
-            f"register_adapter expects a TraceAdapter subclass, got {cls!r}"
-        )
-    name = cls.name
-    if not name or not isinstance(name, str):
-        raise ValueError(f"{cls.__name__}: adapter name must be a non-empty string")
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"trace adapter {name!r} is already registered "
-            f"(by {_REGISTRY[name].__name__}); pass overwrite=True to replace"
-        )
-    _REGISTRY[name] = cls
-    return cls
+    return _ADAPTERS.register(cls, overwrite=overwrite)
 
 
 def unknown_adapter_error(name: object) -> ValueError:
     """The canonical unknown-adapter error, naming the registry source."""
-    return ValueError(
-        f"unknown trace adapter {name!r}; registered adapters "
-        f"(repro.trace.adapters): {', '.join(adapter_names())}"
-    )
+    return _ADAPTERS.unknown(name)
 
 
 def get_adapter(name: str) -> TraceAdapter:
@@ -178,30 +145,14 @@ def get_adapter(name: str) -> TraceAdapter:
             adapter — the error an unknown ``trace:`` spec adapter or
             ``iter_trace`` argument surfaces.
     """
-    _ensure_builtins()
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise unknown_adapter_error(name) from None
-    return cls()
-
-
-def _ordered() -> list[tuple[str, type[TraceAdapter]]]:
-    _ensure_builtins()
-    # sorted() is stable, so equal registry_order keeps arrival order.
-    return sorted(_REGISTRY.items(), key=lambda kv: kv[1].registry_order)
+    return _ADAPTERS.get(name)()
 
 
 def adapter_names() -> tuple[str, ...]:
     """Every registered adapter name (``registry_order``, then arrival)."""
-    return tuple(name for name, _ in _ordered())
+    return _ADAPTERS.keys()
 
 
 def adapter_descriptions() -> dict[str, str]:
     """Every registered adapter with its one-line description."""
-    return {name: cls.describe() for name, cls in _ordered()}
-
-
-def _registered(name: str) -> Optional[type[TraceAdapter]]:
-    """Internal: the entry for ``name`` or ``None`` (tests and tooling)."""
-    return _REGISTRY.get(name)
+    return {name: cls.describe() for name, cls in _ADAPTERS.items()}

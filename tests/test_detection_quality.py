@@ -53,7 +53,7 @@ class TestEndToEndDetection:
         system = ExperimentSystem.build(workload_name, "lbica", cfg)
         scripted = system.workload.burst_intervals()
         result = system.run()
-        detected = [d.interval_index for d in result.lbica_decisions if d.burst]
+        detected = [d.interval_index for d in result.scheme_decisions if d.burst]
         q = detection_quality(detected, scripted, slack=30)
         assert q.recall == 1.0, (workload_name, detected, q)
         assert q.precision > 0.6, (workload_name, detected)

@@ -107,8 +107,8 @@ class TestRunResults:
 
     def test_sib_runs_and_bypasses(self, quick_runner):
         res = quick_runner.run("mail", "sib")
-        assert res.sib_rounds > 0
-        assert res.sib_overhead_us > 0
+        assert res.scheme_stats["rounds"] > 0
+        assert res.scheme_stats["overhead_us"] > 0
 
     def test_latency_ordering_wb_sib_lbica(self, quick_runner):
         for workload in ("tpcc", "mail", "web"):

@@ -152,36 +152,69 @@ def test_the_lint_cli_does_not_import_numpy():
     assert out.strip() == "False"
 
 
-#: Registers a replacement under a built-in name before that built-in
-#: has loaded, then uses the registry the way a grid would.
+#: Registers a replacement under a built-in key before that built-in
+#: has loaded, then uses the registry the way its callers would.
 OVERRIDE_SCRIPT = """
-from repro.schemes.base import Scheme
-from repro.schemes.registry import get_scheme, register_scheme, scheme_names
+from {base_module} import {base} as Base
+from {registry} import {register} as register, {get} as get, {listing} as listing
 
 
-class Replacement(Scheme):
-    name = "wb"
-
-    def start(self):
-        pass
+class Replacement(Base):
+    {key} = {builtin!r}
+    title = "a replacement"  # rules need one
 
 
 try:
-    register_scheme(Replacement)
+    register(Replacement)
 except ValueError as err:
     assert "already registered" in str(err), err
 else:
-    raise AssertionError("a duplicate of a built-in name was accepted")
-register_scheme(Replacement, overwrite=True)
-assert sorted(scheme_names()) == sorted(
-    ["wb", "sib", "lbica", "partition", "dynshare", "slosteal"]
-)
-from repro.baselines import WbBaseline
-
-assert get_scheme("wb") is Replacement
+    raise AssertionError("a duplicate of a built-in key was accepted")
+register(Replacement, overwrite=True)
+assert sorted(listing()) == {builtins!r}
+found = get({builtin!r})
+assert found is Replacement or type(found) is Replacement, found
 print("ok")
 """
 
+OVERRIDE_CASES = {
+    "scheme": dict(
+        base_module="repro.schemes.base",
+        base="Scheme",
+        registry="repro.schemes.registry",
+        register="register_scheme",
+        get="get_scheme",
+        listing="scheme_names",
+        key="name",
+        builtin="wb",
+        builtins=sorted(SCHEME_MODULES),
+    ),
+    "adapter": dict(
+        base_module="repro.trace.adapters",
+        base="TraceAdapter",
+        registry="repro.trace.adapters",
+        register="register_adapter",
+        get="get_adapter",
+        listing="adapter_names",
+        key="name",
+        builtin="native",
+        builtins=["blkparse", "msr", "native"],
+    ),
+    "rule": dict(
+        base_module="repro.devtools.simlint.engine",
+        base="Rule",
+        registry="repro.devtools.simlint.registry",
+        register="register_rule",
+        get="get_rule",
+        listing="rule_codes",
+        key="code",
+        builtin="SL001",
+        builtins=[f"SL{n:03d}" for n in range(1, 11)],
+    ),
+}
 
-def test_a_builtin_name_is_taken_before_its_module_loads():
-    assert _python("-c", OVERRIDE_SCRIPT).strip() == "ok"
+
+@pytest.mark.parametrize("case", sorted(OVERRIDE_CASES))
+def test_a_builtin_name_is_taken_before_its_module_loads(case):
+    script = OVERRIDE_SCRIPT.format(**OVERRIDE_CASES[case])
+    assert _python("-c", script).strip() == "ok"

@@ -108,7 +108,7 @@ class TestSyntheticGroupDetection:
         result = system.run()
         return {
             d.group.value
-            for d in result.lbica_decisions
+            for d in result.scheme_decisions
             if d.burst and d.group is not None
         }
 
@@ -147,7 +147,7 @@ class TestLbicaEndToEndRelief:
         result = ExperimentSystem.build("tpcc", "lbica", cfg).run()
         assignments = [
             d.interval_index
-            for d in result.lbica_decisions
+            for d in result.scheme_decisions
             if d.policy_assigned is not None
         ]
         assert assignments

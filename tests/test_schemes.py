@@ -98,9 +98,9 @@ class TestRegistry:
             with pytest.raises(ValueError, match="already registered"):
                 register_scheme(FreshScheme)
         finally:
-            from repro.schemes.registry import _REGISTRY
+            from repro.schemes.registry import _SCHEMES
 
-            _REGISTRY.pop("fresh-test-scheme", None)
+            _SCHEMES.table.pop("fresh-test-scheme", None)
 
     def test_register_rejects_nameless_and_non_schemes(self):
         class Nameless(Scheme):

@@ -215,7 +215,7 @@ def test_custom_rule_registration_roundtrip():
         violations = lint_source("x = 1  # TODO later\n", module="repro.sim.f")
         assert [v.code for v in violations] == ["SL901"]
     finally:
-        registry_mod._REGISTRY.pop("SL901")
+        registry_mod._RULES.table.pop("SL901")
 
 
 def test_unknown_rule_error_names_the_registry():
@@ -385,6 +385,7 @@ def test_mypy_config_covers_the_sim_core():
         "repro.schemes.*",
         "repro.service.*",
         "repro.store.*",
+        "repro.registry",
     }
     for flag in (
         "disallow_incomplete_defs",
