@@ -7,7 +7,6 @@ in the simulator's hot paths are visible.
 from repro.cache.store import CacheStore
 from repro.devices.base import StorageDevice
 from repro.devices.ssd import SsdConfig, SsdModel
-from repro.io.device_queue import DeviceQueue
 from repro.io.request import DeviceOp, OpTag
 from repro.sim.engine import Simulator
 
@@ -48,13 +47,18 @@ def test_device_pipeline_throughput(benchmark):
 
 
 def test_queue_merge_throughput(benchmark):
-    """Push cost with merging enabled on a contiguous write stream."""
+    """Submit cost with merging enabled on a contiguous write stream
+    (dispatch paused, so every op meets a pending tail)."""
 
     def run_queue():
-        q = DeviceQueue("d", max_merge_blocks=64)
+        dev = StorageDevice(
+            Simulator(), "d", SsdModel(SsdConfig(jitter_sigma=0.0)),
+            max_merge_blocks=64,
+        )
+        dev.pause_dispatch(1.0)
         for i in range(10_000):
-            q.push(DeviceOp(i, 1, is_write=True, tag=OpTag.WRITE), float(i))
-        return q.stats.merged
+            dev.submit(DeviceOp(i, 1, is_write=True, tag=OpTag.WRITE))
+        return dev.queue.stats.merged
 
     merged = benchmark(run_queue)
     assert merged > 0

@@ -656,17 +656,12 @@ class CacheController:
         request = op.request
         if request is None or not op.sync:
             return
-        # Inlined Request.op_done (one call per synchronous block
-        # completion; the method remains the reference implementation).
         outstanding = request._outstanding - 1
         if outstanding < 0:
             raise RuntimeError(f"request {request.req_id}: completion underflow")
         request._outstanding = outstanding
         if outstanding == 0:
             request.complete_time = self.sim.now
-            callback = request._on_complete
-            if callback is not None:
-                callback(request)
             stats = self.stats
             stats.completed += 1
             latency = request.complete_time - request.arrival

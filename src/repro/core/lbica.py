@@ -143,10 +143,10 @@ class LbicaController(Scheme):
         bypassed = 0
         mix_dict: dict = {}
 
-        # Drain the per-interval arrival windows every tick — even when
-        # the window mix is not consulted — so the tracer's counters
-        # never accumulate across intervals: with ``use_window_mix=False``
-        # an undrained window would grow without bound and a later
+        # Take the per-interval arrival windows every tick — even when
+        # the window mix is not consulted — so each window covers one
+        # interval: with ``use_window_mix=False`` an untaken window would
+        # span every interval since the last take, and a later
         # ``take_window_counts`` call would return a stale multi-interval
         # mix.  When consulted, application reads and writes are counted
         # wherever they were served (a write bypassed to the disk under

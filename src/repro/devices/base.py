@@ -1,8 +1,9 @@
 """The device server loop: queue -> model -> completion.
 
 A :class:`StorageDevice` owns a :class:`~repro.io.device_queue.DeviceQueue`
-and dispatches up to ``depth`` operations concurrently, asking its service
-model for the duration of each.  It also maintains the per-direction
+and is the only code that moves an op through it: it enqueues, dispatches
+up to ``depth`` operations concurrently, asking its service model for the
+duration of each, and retires them.  It also maintains the per-direction
 exponentially-weighted latency estimates that our iostat substrate reports
 as the device's service time (``svctm``) — the ``ssdLatency`` /
 ``hddLatency`` terms of the paper's Eq. 1.
@@ -11,7 +12,7 @@ as the device's service time (``svctm``) — the ``ssdLatency`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Protocol
 
 from repro.io.device_queue import DeviceQueue
 from repro.io.request import DeviceOp
@@ -66,7 +67,8 @@ class StorageDevice:
         model: Service-time model.
         depth: Number of operations serviced concurrently (internal
             parallelism / NCQ).
-        queue: Optional pre-built queue (a default is created otherwise).
+        max_merge_blocks: Upper bound on a back-merged op's size in the
+            device's queue; ``0`` disables merging.
         ewma_alpha: Weight of the newest sample in the latency estimate.
     """
 
@@ -76,7 +78,7 @@ class StorageDevice:
         name: str,
         model: ServiceModel,
         depth: int = 1,
-        queue: Optional[DeviceQueue] = None,
+        max_merge_blocks: int = 32,
         ewma_alpha: float = 0.1,
     ) -> None:
         if depth < 1:
@@ -85,7 +87,7 @@ class StorageDevice:
         self.name = name
         self.model = model
         self.depth = depth
-        self.queue = queue if queue is not None else DeviceQueue(name)
+        self.queue = DeviceQueue(name, max_merge_blocks)
         self.stats = DeviceStats()
         self._ewma_alpha = ewma_alpha
         self._lat_read = model.nominal_read_us
@@ -104,14 +106,13 @@ class StorageDevice:
         """Enqueue an operation and kick the dispatcher."""
         queue = self.queue
         now = self.sim.now
-        # Inlined DeviceQueue.push — one call per device op; the method
-        # remains the reference implementation for every other caller.
-        # Occupancy integral, accounting, tail back-merge, append:
+        # Runs once per device op, so the queue's bookkeeping is written
+        # out here: occupancy integral, counters, tail back-merge, append.
         pending = queue.pending
         inflight = queue.inflight
         last = queue._last_change
         if now > last:
-            queue._area += (len(pending) + len(inflight)) * (now - last)
+            queue._area += (len(pending) + inflight) * (now - last)
             queue._last_change = now
         op.enqueue_time = now
         qstats = queue.stats
@@ -127,7 +128,7 @@ class StorageDevice:
                 merged = True
         if not merged:
             pending.append(op)
-            qsize = len(pending) + len(inflight)
+            qsize = len(pending) + inflight
             if qsize > queue._window_max:
                 queue._window_max = qsize
         observers = self._q_observers
@@ -136,43 +137,42 @@ class StorageDevice:
                 fn(op)
         # Saturated devices skip the dispatcher call outright — the next
         # completion re-kicks it (same early-out _dispatch would take).
-        if not merged and len(inflight) < self.depth:
+        if not merged and inflight < self.depth:
             self._dispatch()
 
     def _dispatch(self) -> None:
         # Cheap early-outs first: roughly half the calls (the kick after
         # each completion) find nothing to dispatch.
         queue = self.queue
-        if not queue.pending:
+        pending = queue.pending
+        if not pending:
             return
         inflight = queue.inflight
         depth = self.depth
-        if len(inflight) >= depth:
+        if inflight >= depth:
             return
         now = self.sim.now
         if now < self._paused_until:
             return
+        # Dispatch moves ops from pending to in-flight, which leaves qsize
+        # unchanged, so the occupancy integral moves once per round.
+        last = queue._last_change
+        if now > last:
+            queue._area += (len(pending) + inflight) * (now - last)
+            queue._last_change = now
         # Inner loop runs once per dispatched op; hoist every attribute
-        # chain that is loop-invariant.  DeviceQueue.pop_next is inlined
-        # (the occupancy integral only moves on the first iteration —
-        # after that ``now == last_change``).
+        # chain that is loop-invariant.
         observers = self._d_observers
         service_time = self.model.service_time
         complete = self._complete
         schedule = self.sim.schedule
         stats = self.stats
-        pending = queue.pending
         qstats = queue.stats
-        while len(inflight) < depth:
-            if not pending:
-                break
-            last = queue._last_change
-            if now > last:
-                queue._area += (len(pending) + len(inflight)) * (now - last)
-                queue._last_change = now
+        while pending and inflight < depth:
             op = pending.popleft()
             op.dispatch_time = now
-            inflight.add(op.op_id)
+            inflight += 1
+            queue.inflight = inflight
             qstats.dispatched += 1
             service = service_time(op, now)
             if service < 0:
@@ -186,12 +186,11 @@ class StorageDevice:
     def _complete(self, op: DeviceOp, service: float) -> None:
         now = self.sim.now
         queue = self.queue
-        # Inlined DeviceQueue.complete (occupancy integral + retire).
         last = queue._last_change
         if now > last:
-            queue._area += (len(queue.pending) + len(queue.inflight)) * (now - last)
+            queue._area += (len(queue.pending) + queue.inflight) * (now - last)
             queue._last_change = now
-        queue.inflight.discard(op.op_id)
+        queue.inflight -= 1
         op.complete_time = now
         queue.stats.completed += 1
         # Lifetime counters and the per-direction EWMA latency estimates,
@@ -269,25 +268,16 @@ class StorageDevice:
     # ------------------------------------------------------------------
     # Observation (blktrace hooks)
     # ------------------------------------------------------------------
-    def add_observer(self, fn: Callable[[DeviceOp, str], None]) -> None:
-        """Register a callback invoked as ``fn(op, action)`` for every
-        ``queue`` / ``issue`` / ``complete`` transition (blktrace's Q/D/C).
-
-        Observer dispatch is inlined at the three transition sites
-        (:meth:`submit`, ``_dispatch``, ``_complete``) — they run once
-        per device op.  Internally one wrapper per transition is stored;
-        a tracer that wants the raw per-transition call (no transition
-        string, no extra frame) uses :meth:`add_transition_observer`.
-        """
-        self._q_observers.append(lambda op, _fn=fn: _fn(op, "queue"))
-        self._d_observers.append(lambda op, _fn=fn: _fn(op, "issue"))
-        self._c_observers.append(lambda op, _fn=fn: _fn(op, "complete"))
-
     def add_transition_observer(
         self, transition: str, fn: Callable[[DeviceOp], None]
     ) -> None:
         """Register ``fn(op)`` for one ``queue``/``issue``/``complete``
-        transition — the allocation-free fast path used by the tracer."""
+        transition (blktrace's Q/D/C).
+
+        Each transition site (:meth:`submit`, ``_dispatch``,
+        ``_complete``) runs once per device op and calls its observers
+        positionally, with no transition string to dispatch on.
+        """
         try:
             observers = {
                 "queue": self._q_observers,

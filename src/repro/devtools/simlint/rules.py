@@ -370,7 +370,7 @@ class HotPathRule(Rule):
     title = "hot-path functions stay allocation-lean"
     explanation = (
         "The per-event dispatch chain (Simulator.run/schedule,\n"
-        "CacheStore.lookup, DeviceQueue.push/pop_next/complete,\n"
+        "CacheStore.lookup, StorageDevice.submit/_dispatch/_complete,\n"
         "CacheController._do_read/_do_write/_sync_done, Workload._arrive)\n"
         "runs millions of times per scenario, so every allocation in it\n"
         "is multiplied.  Inside these functions: no lambdas and no\n"
@@ -383,9 +383,9 @@ class HotPathRule(Rule):
             ("repro.sim.engine", "Simulator.run"),
             ("repro.sim.engine", "Simulator.schedule"),
             ("repro.cache.store", "CacheStore.lookup"),
-            ("repro.io.device_queue", "DeviceQueue.push"),
-            ("repro.io.device_queue", "DeviceQueue.pop_next"),
-            ("repro.io.device_queue", "DeviceQueue.complete"),
+            ("repro.devices.base", "StorageDevice.submit"),
+            ("repro.devices.base", "StorageDevice._dispatch"),
+            ("repro.devices.base", "StorageDevice._complete"),
             ("repro.cache.controller", "CacheController._do_read"),
             ("repro.cache.controller", "CacheController._do_write"),
             ("repro.cache.controller", "CacheController._sync_done"),

@@ -23,7 +23,6 @@ from repro.config import SystemConfig
 from repro.devices.base import StorageDevice
 from repro.devices.hdd import HddModel
 from repro.devices.ssd import SsdModel
-from repro.io.device_queue import DeviceQueue
 from repro.io.request import Request
 from repro.schemes.registry import get_scheme, paper_schemes
 from repro.sim.engine import Simulator
@@ -379,14 +378,14 @@ class ExperimentSystem:
             "ssd",
             ssd_model,
             depth=config.ssd_depth,
-            queue=DeviceQueue("ssd", config.max_merge_blocks),
+            max_merge_blocks=config.max_merge_blocks,
         )
         self.hdd = StorageDevice(
             self.sim,
             "hdd",
             hdd_model,
             depth=hdd_depth,
-            queue=DeviceQueue("hdd", config.max_merge_blocks),
+            max_merge_blocks=config.max_merge_blocks,
         )
         self.store = CacheStore(
             config.cache_blocks,

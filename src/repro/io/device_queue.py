@@ -1,18 +1,24 @@
-"""FIFO device queues with merging, occupancy accounting, and tail stealing.
+"""FIFO device queue state: pending ops, in-flight count, occupancy windows.
 
 The queue is the central observable of the paper: Eq. 1 computes queue time
 as ``queue_size × device_latency``, Fig. 3 characterizes workloads by the
 *type mix* of in-queue requests, and both LBICA (Group 3) and SIB shed load
 by removing requests from the **tail** of the SSD queue.
 
-:class:`DeviceQueue` therefore provides, beyond plain FIFO push/pop:
+:class:`DeviceQueue` holds that state.  The device that owns it,
+:class:`~repro.devices.base.StorageDevice`, is the only code that moves an
+op through it: ``submit`` enqueues (back-merging contiguous same-direction
+ops with the tail, like the block layer's elevator, up to
+``max_merge_blocks``), ``_dispatch`` moves ops to in-flight and
+``_complete`` retires them, each updating the counters and the occupancy
+integral as it goes.  The queue itself answers:
 
-- **back-merging** of contiguous same-direction ops (like the block
-  layer's elevator), bounded by ``max_merge_blocks``;
-- **occupancy statistics** — time-weighted average and per-window maximum
-  queue depth, which is what our iostat substrate samples;
-- :meth:`snapshot_tags` — the R/W/P/E composition of everything currently
-  queued or in service (our blktrace substrate);
+- :meth:`window_stats` / :meth:`reset_window` — time-weighted average and
+  per-window maximum queue depth, which is what our iostat substrate
+  samples;
+- :meth:`snapshot_tags` — the R/W/P/E composition of the pending ops (our
+  blktrace substrate);
+- :meth:`estimated_wait` — SIB's per-position wait-time estimates;
 - :meth:`steal_tail` — remove stealable ops from the tail subject to a
   caller-supplied filter, returning them for redirection to another device.
 """
@@ -61,14 +67,14 @@ class DeviceQueue:
 
     The queue distinguishes *pending* ops (still eligible for merging and
     stealing) from *in-flight* ops (dispatched to the device and
-    uninterruptible).
+    uninterruptible); ``inflight`` counts the latter.
     """
 
     def __init__(self, name: str, max_merge_blocks: int = 32) -> None:
         self.name = name
         self.max_merge_blocks = max_merge_blocks
         self.pending: deque[DeviceOp] = deque()
-        self.inflight: set[int] = set()
+        self.inflight = 0
         self.stats = QueueStats()
         # occupancy accounting
         self._last_change = 0.0
@@ -82,16 +88,12 @@ class DeviceQueue:
     @property
     def qsize(self) -> int:
         """Pending + in-flight operations (iostat's ``avgqu-sz`` analog)."""
-        return len(self.pending) + len(self.inflight)
+        return len(self.pending) + self.inflight
 
     def _account(self, now: float) -> None:
         if now > self._last_change:
             self._area += self.qsize * (now - self._last_change)
             self._last_change = now
-
-    def _bump_window(self) -> None:
-        if self.qsize > self._window_max:
-            self._window_max = self.qsize
 
     def window_stats(self, now: float) -> tuple[float, int]:
         """Return ``(avg_qsize, max_qsize)`` since the last reset.
@@ -112,67 +114,6 @@ class DeviceQueue:
         self._window_start = now
         self._last_change = now
         self._window_max = self.qsize
-
-    # ------------------------------------------------------------------
-    # Core queue operations
-    # ------------------------------------------------------------------
-    def push(self, op: DeviceOp, now: float) -> bool:
-        """Enqueue ``op``; returns ``True`` if it was merged away.
-
-        A back-merge is attempted against the current tail only (like the
-        block layer's last-merge hint): same direction, same tag,
-        contiguous LBA, and within ``max_merge_blocks``.
-        """
-        # push/pop_next/complete run once per device op; the occupancy
-        # integral is inlined (same arithmetic as _account) to avoid a
-        # method call plus property chain per transition.
-        pending = self.pending
-        inflight = self.inflight
-        last = self._last_change
-        if now > last:
-            self._area += (len(pending) + len(inflight)) * (now - last)
-            self._last_change = now
-        op.enqueue_time = now
-        stats = self.stats
-        stats.enqueued += 1
-        stats.by_tag[op.tag] += 1
-        max_merge = self.max_merge_blocks
-        if max_merge and pending:
-            tail = pending[-1]
-            if tail.can_merge_back(op, max_merge):
-                tail.absorb(op)
-                stats.merged += 1
-                return True
-        pending.append(op)
-        qsize = len(pending) + len(inflight)
-        if qsize > self._window_max:
-            self._window_max = qsize
-        return False
-
-    def pop_next(self, now: float) -> Optional[DeviceOp]:
-        """Move the head pending op to in-flight and return it."""
-        pending = self.pending
-        if not pending:
-            return None
-        last = self._last_change
-        if now > last:
-            self._area += (len(pending) + len(self.inflight)) * (now - last)
-            self._last_change = now
-        op = pending.popleft()
-        op.dispatch_time = now
-        self.inflight.add(op.op_id)
-        self.stats.dispatched += 1
-        return op
-
-    def complete(self, op: DeviceOp, now: float) -> None:
-        """Retire an in-flight op."""
-        last = self._last_change
-        if now > last:
-            self._area += (len(self.pending) + len(self.inflight)) * (now - last)
-            self._last_change = now
-        self.inflight.discard(op.op_id)
-        op.complete_time = now
-        self.stats.completed += 1
 
     # ------------------------------------------------------------------
     # Introspection used by blktrace / LBICA / SIB
@@ -238,5 +179,5 @@ class DeviceQueue:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeviceQueue({self.name!r}, pending={len(self.pending)}, "
-            f"inflight={len(self.inflight)})"
+            f"inflight={self.inflight})"
         )

@@ -76,7 +76,6 @@ class Request:
         "served_by",
         "tenant_id",
         "_outstanding",
-        "_on_complete",
     )
 
     def __init__(
@@ -85,7 +84,6 @@ class Request:
         lba: int,
         nblocks: int,
         is_write: bool,
-        on_complete: Optional[Callable[["Request"], None]] = None,
         tenant_id: int = 0,
     ) -> None:
         if nblocks <= 0:
@@ -104,24 +102,11 @@ class Request:
         self.bypassed = False
         self.served_by: set[str] = set()
         self._outstanding = 0
-        self._on_complete = on_complete
 
     # -- completion accounting ----------------------------------------
     def add_wait(self, n: int = 1) -> None:
         """Register ``n`` synchronous device ops this request waits on."""
         self._outstanding += n
-
-    def op_done(self, now: float) -> bool:
-        """Signal one synchronous op finished; returns True on completion."""
-        self._outstanding -= 1
-        if self._outstanding < 0:
-            raise RuntimeError(f"request {self.req_id}: completion underflow")
-        if self._outstanding == 0:
-            self.complete_time = now
-            if self._on_complete is not None:
-                self._on_complete(self)
-            return True
-        return False
 
     @property
     def done(self) -> bool:

@@ -27,12 +27,13 @@ class BlkTracer:
         sim: The simulator (for timestamps).
         capacity: Ring-buffer size; older records are discarded (blktrace
             similarly drops data when its buffers overflow).
-        record_events: When ``False``, skip building and retaining
-            per-transition :class:`TraceRecord` objects and keep only the
-            window counters and queue snapshots — everything the LBICA
-            characterizer consumes.  Batch runners whose callers never
-            see the system (``ScenarioSpec.run``) use this; capture for
-            replay (``dump``/``records``) needs the default ``True``.
+        record_events: When ``False``, register no transition observers:
+            no per-transition :class:`TraceRecord` is built or retained,
+            and the tracer answers only window counts and queue
+            snapshots — everything the LBICA characterizer consumes.
+            Batch runners whose callers never see the system
+            (``ScenarioSpec.run``) use this; capture for replay
+            (``dump``/``records``) needs the default ``True``.
     """
 
     def __init__(
@@ -42,9 +43,10 @@ class BlkTracer:
         self.record_events = record_events
         self.records: deque[TraceRecord] = deque(maxlen=capacity)
         self._devices: dict[str, StorageDevice] = {}
-        self._windows: dict[str, Counter] = {}
+        # Per device, a copy of its queue's ``by_tag`` counter as of the
+        # start of the current window (``attach`` or the last take).
+        self._window_starts: dict[str, Counter] = {}
         self.dropped = 0
-        self.enabled = True
 
     # ------------------------------------------------------------------
     # Attachment
@@ -54,26 +56,19 @@ class BlkTracer:
         if device.name in self._devices:
             raise ValueError(f"device {device.name!r} already attached")
         self._devices[device.name] = device
-        self._windows[device.name] = Counter()
+        self._window_starts[device.name] = Counter(device.queue.stats.by_tag)
         for transition, observe in self._make_observers(device.name):
             device.add_transition_observer(transition, observe)
 
     def _make_observers(self, name: str):
+        # Window counts and snapshots are read from the queue, so only
+        # record capture needs a per-transition observer.
+        if not self.record_events:
+            return ()
         # Hot path: one call per queue/issue/complete transition on every
         # device op.  One specialized closure per transition folds the
         # action letter into a constant, and ``tuple.__new__`` skips the
         # NamedTuple constructor's keyword machinery (~30% per record).
-        window = self._windows[name]
-        if not self.record_events:
-            # Counters-only mode: the characterizer's window mix is the
-            # sole product; no record objects are built or retained.
-            def observe_window(op: DeviceOp) -> None:
-                if not self.enabled:
-                    return
-                window[op.tag] += 1
-
-            return (("queue", observe_window),)
-
         records = self.records
         append = records.append
         maxlen = records.maxlen
@@ -82,9 +77,6 @@ class BlkTracer:
         sim = self.sim
 
         def observe_queue(op: DeviceOp) -> None:
-            if not self.enabled:
-                return
-            window[op.tag] += 1
             if len(records) == maxlen:
                 self.dropped += 1
             append(
@@ -95,8 +87,6 @@ class BlkTracer:
             )
 
         def observe_issue(op: DeviceOp) -> None:
-            if not self.enabled:
-                return
             if len(records) == maxlen:
                 self.dropped += 1
             append(
@@ -107,8 +97,6 @@ class BlkTracer:
             )
 
         def observe_complete(op: DeviceOp) -> None:
-            if not self.enabled:
-                return
             if len(records) == maxlen:
                 self.dropped += 1
             append(
@@ -135,21 +123,26 @@ class BlkTracer:
         return device.queue.snapshot_tags()
 
     def take_window_counts(self, device_name: str) -> Counter:
-        """R/W/P/E counts of requests *queued since the last call*.
+        """R/W/P/E counts of ops *queued since the last call* (or since
+        :meth:`attach`), merged ops included.
 
         This is the interval-accumulated view of the queue mix: in a
         saturated FIFO queue it converges to the same composition as
         :meth:`queue_snapshot`, but it is far less noisy on the short
         sampling windows of a scaled-down simulation, so LBICA's
         characterizer consumes this (with the instantaneous snapshot as a
-        fallback when the window is empty).
+        fallback when the window is empty).  The counts are the queue's
+        own lifetime ``stats.by_tag`` minus its copy at the window start;
+        ``Counter`` subtraction drops zero entries, so an idle window is
+        an empty, falsy ``Counter``.
         """
-        if device_name not in self._windows:
+        device = self._devices.get(device_name)
+        if device is None:
             raise KeyError(f"device {device_name!r} is not traced")
-        counts = self._windows[device_name]
-        out = Counter(counts)
-        counts.clear()
-        return out
+        by_tag = device.queue.stats.by_tag
+        counts = by_tag - self._window_starts[device_name]
+        self._window_starts[device_name] = Counter(by_tag)
+        return counts
 
     def queue_mix(self, device_name: str) -> dict[str, float]:
         """The snapshot as fractions (e.g. ``{"R": 0.44, "P": 0.51, ...}``).

@@ -282,8 +282,9 @@ class TestLbicaController:
 
     def test_windows_drained_without_window_mix(self, sim, controller, ssd, hdd):
         """Tracer windows must be drained every tick even when the window
-        mix is not consulted — otherwise counts accumulate unboundedly and
-        a later take_window_counts returns a stale multi-interval mix."""
+        mix is not consulted — otherwise a window spans every interval
+        since the last take and take_window_counts returns a stale
+        multi-interval mix."""
         lbica = self._build(sim, controller, ssd, hdd, use_window_mix=False)
         lbica.start()
         for i in range(8):

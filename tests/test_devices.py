@@ -206,10 +206,15 @@ class TestStorageDevice:
         sim = Simulator()
         dev = StorageDevice(sim, "ssd", SsdModel(SsdConfig(jitter_sigma=0.0)))
         events = []
-        dev.add_observer(lambda op, action: events.append(action))
+        for transition in ("queue", "issue", "complete"):
+            dev.add_transition_observer(
+                transition, lambda op, t=transition: events.append(t)
+            )
         dev.submit(read_op())
         sim.run()
         assert events == ["queue", "issue", "complete"]
+        with pytest.raises(ValueError, match="unknown transition"):
+            dev.add_transition_observer("steal", events.append)
 
     def test_merged_op_completions_chain(self):
         sim = Simulator()

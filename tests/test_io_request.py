@@ -24,27 +24,31 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(0.0, -1, 1, False)
 
-    def test_completion_after_all_sync_ops(self):
+    def test_completion_after_all_sync_ops(self, sim, controller):
+        # A 2-block write waits on one sync op per block; the controller
+        # completes it on the second.
         req = Request(5.0, 0, 2, True)
         req.add_wait(2)
-        assert not req.op_done(8.0)
-        assert req.op_done(9.0)
+        first, second = (
+            DeviceOp(lba, 1, is_write=True, tag=OpTag.WRITE, request=req, sync=True)
+            for lba in (0, 1)
+        )
+        sim.run(until=8.0)
+        controller._sync_done(first)
+        assert not req.done
+        sim.run(until=9.0)
+        controller._sync_done(second)
         assert req.done
         assert req.latency == 4.0
+        assert controller.stats.completed == 1
 
-    def test_completion_callback_fires_once(self):
-        calls = []
-        req = Request(0.0, 0, 1, False, on_complete=calls.append)
-        req.add_wait(1)
-        req.op_done(3.0)
-        assert calls == [req]
-
-    def test_completion_underflow_raises(self):
+    def test_completion_underflow_raises(self, controller):
         req = Request(0.0, 0, 1, False)
         req.add_wait(1)
-        req.op_done(1.0)
-        with pytest.raises(RuntimeError):
-            req.op_done(2.0)
+        op = DeviceOp(0, 1, is_write=False, tag=OpTag.READ, request=req, sync=True)
+        controller._sync_done(op)
+        with pytest.raises(RuntimeError, match="completion underflow"):
+            controller._sync_done(op)
 
     def test_latency_before_completion_raises(self):
         req = Request(0.0, 0, 1, False)

@@ -1,13 +1,16 @@
 """Property-based tests (hypothesis) on core data-structure invariants."""
 
 from collections import Counter
+from types import SimpleNamespace
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.store import CacheStore
 from repro.core.characterization import QueueMix, WorkloadCharacterizer, WorkloadGroup
-from repro.io.device_queue import DeviceQueue
+from repro.devices.base import StorageDevice
+from repro.devices.ssd import SsdConfig, SsdModel
 from repro.io.request import DeviceOp, OpTag
 from repro.sim.engine import Simulator
 from repro.trace.iostat import eq1_queue_time
@@ -71,73 +74,174 @@ def test_store_insert_is_idempotent_on_occupancy(lbas):
     first = store.occupied
     for lba in lbas:
         store.insert(lba, 1.0)
-    assert store.occupied <= first + 0  # idempotent w.r.t. residency count
+    assert store.occupied == first  # idempotent w.r.t. residency count
 
 
 # ---------------------------------------------------------------------------
-# Device queue invariants
+# Device queue invariants, on the device that moves ops through the queue
 # ---------------------------------------------------------------------------
 
-queue_ops = st.lists(
+device_script = st.lists(
     st.tuples(
-        st.sampled_from(["push_r", "push_w", "pop", "steal"]),
+        # ``next`` twice: a merge needs a contiguous op behind a pending one.
+        st.sampled_from(
+            ["read", "write", "next", "next", "advance", "pause", "steal", "window"]
+        ),
         st.integers(min_value=0, max_value=1000),
     ),
     max_size=150,
 )
 
+#: Always run: a pause holds a write so the next contiguous write merges.
+MERGING_SCRIPT = [("pause", 50), ("write", 0), ("next", 0), ("advance", 1000)]
 
-@given(ops=queue_ops, merge=st.sampled_from([0, 8, 32]))
-@settings(max_examples=60, deadline=None)
-def test_queue_conservation(ops, merge):
-    """Every logical op is eventually accounted: merged + pending +
-    dispatched + stolen == enqueued."""
-    q = DeviceQueue("d", max_merge_blocks=merge)
-    now = 0.0
-    inflight = []
-    for action, lba in ops:
-        now += 1.0
-        if action == "push_r":
-            q.push(DeviceOp(lba, 1, is_write=False, tag=OpTag.READ), now)
-        elif action == "push_w":
-            q.push(DeviceOp(lba, 1, is_write=True, tag=OpTag.WRITE), now)
-        elif action == "pop":
-            op = q.pop_next(now)
-            if op is not None:
-                inflight.append(op)
-        elif action == "steal":
-            q.steal_tail(lba % 4, now)
-        assert q.qsize == len(q.pending) + len(q.inflight)
 
-    s = q.stats
-    logical_pending = sum(1 + len(o.merged) for o in q.pending)
-    logical_inflight = sum(1 + len(o.merged) for o in inflight)
-    logical_stolen = s.stolen  # stolen counts physical ops
-    # merged ops are absorbed, not lost
-    assert (
-        logical_pending + logical_inflight
-        + sum(1 + len(o2.merged) for o2 in [])  # placeholder for clarity
-        <= s.enqueued
+def _device(merge: int, depth: int) -> StorageDevice:
+    return StorageDevice(
+        Simulator(),
+        "d",
+        SsdModel(SsdConfig(jitter_sigma=0.0)),
+        depth=depth,
+        max_merge_blocks=merge,
     )
-    assert s.dispatched == len(inflight)
-    assert logical_pending + logical_inflight >= 0
-    # physical conservation: pending + inflight + stolen + merged == enqueued
-    assert len(q.pending) + len(inflight) + s.stolen + s.merged == s.enqueued
+
+
+def _play(dev, script, on_complete=None):
+    """Drive ``dev`` through ``script``, yielding ``(action, ops)`` after
+    each step: ``[op]`` for a submit, the stolen ops for a steal.
+
+    ``next`` submits a 1-block op contiguous with the previous one (so
+    merging is common), ``advance`` runs the simulator ``n`` µs,
+    ``pause`` stalls the dispatcher, ``steal`` takes up to ``n % 4`` ops
+    from the tail, and ``window`` is a sampling-window boundary.
+    """
+    sim = dev.sim
+    last = None
+    for action, n in script:
+        ops: list[DeviceOp] = []
+        if action in ("read", "write", "next"):
+            if action == "next" and last is not None:
+                lba, is_write = last.lba + 1, last.is_write
+            else:
+                lba, is_write = n, action == "write"
+            tag = OpTag.WRITE if is_write else OpTag.READ
+            last = DeviceOp(lba, 1, is_write=is_write, tag=tag, on_complete=on_complete)
+            dev.submit(last)
+            ops = [last]
+        elif action == "advance":
+            sim.run(until=sim.now + n)
+        elif action == "pause":
+            dev.pause_dispatch(float(n))
+        elif action == "steal":
+            ops = dev.queue.steal_tail(n % 4, sim.now)
+        yield action, ops
+
+
+@given(
+    script=device_script,
+    merge=st.sampled_from([0, 8, 32]),
+    depth=st.sampled_from([1, 4]),
+)
+@example(script=MERGING_SCRIPT, merge=8, depth=1)
+@settings(max_examples=60, deadline=None)
+def test_queue_conservation(script, merge, depth):
+    """Every op the device accepted is pending, in flight, completed,
+    stolen or merged into another, after every step; once drained, every
+    op that was not stolen completes exactly once."""
+    dev = _device(merge, depth)
+    q, s = dev.queue, dev.queue.stats
+    done: list[DeviceOp] = []
+    submitted: list[DeviceOp] = []
+    stolen: list[DeviceOp] = []
+    for action, ops in _play(dev, script, on_complete=done.append):
+        (stolen if action == "steal" else submitted).extend(ops)
+        assert q.qsize == len(q.pending) + q.inflight
+        assert 0 <= q.inflight <= depth
+        assert s.dispatched == s.completed + q.inflight
+        assert s.stolen == len(stolen)
+        assert s.enqueued == len(submitted) == sum(s.by_tag.values())
+        assert len(q.pending) + q.inflight + s.completed + s.stolen + s.merged == (
+            s.enqueued
+        )
+
+    dev.sim.run()
+    assert q.qsize == 0
+    assert s.dispatched == s.completed
+    done_ids = [o.op_id for o in done]
+    stolen_ids = [child.op_id for op in stolen for child in (op, *op.merged)]
+    assert len(set(done_ids)) == len(done_ids)
+    assert sorted(done_ids + stolen_ids) == sorted(o.op_id for o in submitted)
+
+
+@given(
+    script=device_script,
+    merge=st.sampled_from([0, 8, 32]),
+    depth=st.sampled_from([1, 4]),
+)
+@example(script=MERGING_SCRIPT, merge=8, depth=1)
+@settings(max_examples=60, deadline=None)
+def test_window_stats_integrate_qsize(script, merge, depth):
+    """``window_stats`` is the time integral and peak of the qsize step
+    function rebuilt from the transition observers and the steals."""
+    dev = _device(merge, depth)
+    sim, q = dev.sim, dev.queue
+    # The model's qsize (``level``) and its integral since the window start.
+    m = SimpleNamespace(level=0, area=0.0, peak=0, last=0.0, start=0.0)
+
+    def step(delta: int) -> None:
+        m.area += m.level * (sim.now - m.last)
+        m.last = sim.now
+        m.level += delta
+        m.peak = max(m.peak, m.level)
+
+    def on_queue(op: DeviceOp) -> None:
+        absorbed = any(op in parent.merged for parent in q.pending)
+        step(0 if absorbed else 1)
+
+    def check() -> None:
+        now = sim.now
+        span = now - m.start
+        area = m.area + m.level * (now - m.last)
+        avg, peak = q.window_stats(now)
+        assert peak == m.peak
+        expected = area / span if span > 0 else float(m.level)
+        assert avg == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    dev.add_transition_observer("queue", on_queue)
+    dev.add_transition_observer("complete", lambda op: step(-1))
+    q.reset_window(0.0)
+    for action, ops in _play(dev, script):
+        if action == "steal":
+            step(-len(ops))
+        elif action == "window":
+            check()
+            q.reset_window(sim.now)
+            m.area, m.peak, m.last, m.start = 0.0, m.level, sim.now, sim.now
+    sim.run(until=sim.now + 1000.0)
+    check()
 
 
 @given(
     n=st.integers(min_value=0, max_value=50),
     k=st.integers(min_value=0, max_value=60),
+    depth=st.sampled_from([1, 4]),
 )
 @settings(max_examples=40, deadline=None)
-def test_steal_tail_never_reorders_head(n, k):
-    q = DeviceQueue("d", max_merge_blocks=0)
+def test_steal_tail_never_reorders_head(n, k, depth):
+    """The dispatcher takes the head and a steal takes the tail; what is
+    left keeps its submission order."""
+    dev = _device(merge=0, depth=depth)
+    dev.pause_dispatch(1.0)
     for i in range(n):
-        q.push(DeviceOp(i * 10, 1, is_write=True, tag=OpTag.WRITE), 0.0)
-    q.steal_tail(k, 1.0)
-    remaining = [o.lba for o in q.pending]
-    assert remaining == sorted(remaining)
-    assert remaining == [i * 10 for i in range(len(remaining))]
+        dev.submit(DeviceOp(i * 10, 1, is_write=True, tag=OpTag.WRITE))
+    dev.sim.run(until=1.0)  # the pause ends: up to ``depth`` ops dispatched
+    issued = min(n, depth)
+    stolen = dev.queue.steal_tail(k, 1.0)
+    remaining = [o.lba for o in dev.queue.pending]
+    assert remaining == [i * 10 for i in range(issued, issued + len(remaining))]
+    assert [o.lba for o in stolen] == [
+        i * 10 for i in reversed(range(issued + len(remaining), n))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +326,8 @@ request_script = st.lists(
     st.tuples(
         st.sampled_from(["read", "write", "policy_wb", "policy_wt", "policy_ro", "policy_wo"]),
         st.integers(min_value=0, max_value=500),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2),
     ),
     min_size=1,
     max_size=80,
@@ -231,14 +337,15 @@ request_script = st.lists(
 @given(script=request_script)
 @settings(max_examples=40, deadline=None)
 def test_controller_conservation_under_policy_churn(script):
-    """Every submitted request completes exactly once, and the store's
-    invariants hold, no matter how the write policy flips mid-stream."""
+    """Every submitted request completes exactly once, the completion
+    counters (overall and per tenant) agree with the requests, and the
+    store's invariants hold, no matter how the write policy flips
+    mid-stream.  Multi-block requests put contiguous ops in the device
+    queues, so back-merged completions are exercised too."""
     from repro.cache.controller import CacheController
     from repro.cache.store import CacheStore
     from repro.cache.write_policy import WritePolicy
-    from repro.devices.base import StorageDevice
     from repro.devices.hdd import HddConfig, HddModel
-    from repro.devices.ssd import SsdConfig, SsdModel
     from repro.io.request import Request
 
     sim = Simulator()
@@ -256,11 +363,13 @@ def test_controller_conservation_under_policy_churn(script):
         "policy_ro": WritePolicy.RO,
         "policy_wo": WritePolicy.WO,
     }
-    for action, lba in script:
+    for action, lba, nblocks, tenant_id in script:
         if action in policies:
             controller.set_policy(policies[action])
             continue
-        req = Request(sim.now, lba * 7, 1, is_write=(action == "write"))
+        req = Request(
+            sim.now, lba * 7, nblocks, is_write=(action == "write"), tenant_id=tenant_id
+        )
         submitted.append(req)
         controller.submit(req)
     sim.run()
@@ -268,5 +377,16 @@ def test_controller_conservation_under_policy_churn(script):
     assert all(r.done for r in submitted)
     assert sorted(completions) == sorted(r.req_id for r in submitted)
     assert len(completions) == len(set(completions))  # exactly once
+    stats = controller.stats
+    assert stats.completed == len(submitted)
+    assert stats.total_latency == pytest.approx(sum(r.latency for r in submitted))
+    assert sorted(stats.tenants) == sorted({r.tenant_id for r in submitted})
+    for tenant_id, tenant in stats.tenants.items():
+        mine = [r for r in submitted if r.tenant_id == tenant_id]
+        assert tenant.requests == tenant.completed == len(mine)
+        assert tenant.writes == sum(r.is_write for r in mine)
+        assert tenant.bypassed == sum(r.bypassed for r in mine)
+        assert tenant.total_latency == pytest.approx(sum(r.latency for r in mine))
+    assert sum(t.completed for t in stats.tenants.values()) == stats.completed
     assert store.occupied <= store.capacity_blocks
     assert store.dirty_count <= store.occupied

@@ -7,6 +7,7 @@ are covered both at the API and the CLI layer, and the tree itself must
 lint clean — the same gate CI's ``static-analysis`` job runs.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -97,6 +98,25 @@ def test_sl007_only_fires_in_hot_functions():
     # the discarded .schedule(...) result is not a violation: schedule
     # returns nothing
     assert len(violations) == 2
+
+
+def test_sl007_hot_entries_name_defined_methods():
+    # A hot method that is deleted or renamed must fail here instead of
+    # quietly dropping out of SL007 (and SL010's module list).
+    from repro.devtools.simlint.rules import HotPathRule
+
+    for module, qualname in sorted(HotPathRule._HOT):
+        cls_name, fn_name = qualname.split(".")
+        path = REPO / "src" / Path(*module.split(".")).with_suffix(".py")
+        tree = ast.parse(path.read_text())
+        methods = {
+            item.name
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == cls_name
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert fn_name in methods, f"{module} defines no {qualname}"
 
 
 def test_sl009_sanctioned_only_in_the_harness_module():

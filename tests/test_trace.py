@@ -79,6 +79,26 @@ class TestBlkTracer:
         assert counts[OpTag.READ] == 1
         assert tracer.take_window_counts("ssd") == Counter()
 
+    @pytest.mark.parametrize("record_events", [True, False])
+    def test_window_counts_are_queue_deltas(self, sim, ssd, record_events):
+        ssd.submit(read_op(0))  # queued before attach: never counted
+        tracer = BlkTracer(sim, record_events=record_events)
+        tracer.attach(ssd)
+        for lba, tag in ((100, OpTag.WRITE), (101, OpTag.WRITE), (200, OpTag.PROMOTE)):
+            ssd.submit(DeviceOp(lba, 1, is_write=True, tag=tag))
+        assert ssd.queue.stats.merged == 1  # lba 101 joined lba 100
+        assert tracer.take_window_counts("ssd") == Counter(
+            {OpTag.WRITE: 2, OpTag.PROMOTE: 1}
+        )
+        idle = tracer.take_window_counts("ssd")
+        assert idle == Counter() and not idle
+        sim.run()
+        ssd.submit(read_op(300))
+        assert tracer.take_window_counts("ssd") == Counter({OpTag.READ: 1})
+        assert ssd.queue.stats.by_tag == Counter(
+            {OpTag.READ: 2, OpTag.WRITE: 2, OpTag.PROMOTE: 1}
+        )
+
     def test_ring_buffer_drops_old_records(self, sim, ssd):
         tracer = BlkTracer(sim, capacity=5)
         tracer.attach(ssd)
@@ -87,14 +107,6 @@ class TestBlkTracer:
         sim.run()
         assert len(tracer.records) == 5
         assert tracer.dropped > 0
-
-    def test_disabled_tracer_records_nothing(self, sim, ssd):
-        tracer = BlkTracer(sim)
-        tracer.attach(ssd)
-        tracer.enabled = False
-        ssd.submit(read_op())
-        sim.run()
-        assert len(tracer.records) == 0
 
 
 class TestIostatMonitor:
@@ -118,8 +130,7 @@ class TestIostatMonitor:
         monitor = IostatMonitor(sim, ssd, hdd, interval_us=10_000.0)
         monitor.start()
         req = Request(0.0, 0, 1, False)
-        req.add_wait()
-        req.op_done(500.0)
+        req.complete_time = 500.0
         monitor.record_completion(req)
         sim.run(until=10_000.0)
         s = monitor.samples[0]
@@ -132,8 +143,7 @@ class TestIostatMonitor:
         monitor = IostatMonitor(sim, ssd, hdd, interval_us=100.0)
         monitor.start()
         req = Request(0.0, 0, 1, True)
-        req.add_wait()
-        req.op_done(10.0)
+        req.complete_time = 10.0
         monitor.record_completion(req)
         sim.run(until=300.0)
         assert monitor.samples[0].completed == 1

@@ -146,8 +146,7 @@ class TestWorkloadEngine:
 
         def submit(req):
             got.append(req)
-            req.add_wait()
-            sim.schedule(10.0, req.op_done, sim.now + 10.0)
+            req.complete_time = sim.now + 10.0
             sim.schedule(10.0, wl.on_request_complete, req)
 
         wl.bind(sim, submit, rng)
