@@ -363,17 +363,9 @@ class CacheController:
         if eviction is not None and eviction.was_dirty:
             self._flush_evicted(eviction.lba)
         self.stats.promotes_issued += 1
-        self.ssd.submit(
-            DeviceOp(
-                lba,
-                1,
-                is_write=True,
-                tag=OpTag.PROMOTE,
-                request=None,
-                sync=False,
-                stealable=True,
-            )
-        )
+        # Positional arguments, like the read and write paths: (lba,
+        # nblocks, is_write, tag, request, sync, stealable[, on_complete]).
+        self.ssd.submit(DeviceOp(lba, 1, True, OpTag.PROMOTE, None, False, True))
 
     # ------------------------------------------------------------------
     # Writes
@@ -452,28 +444,13 @@ class CacheController:
         self.stats.evict_flushes += 1
         self.ssd.submit(
             DeviceOp(
-                lba,
-                1,
-                is_write=False,
-                tag=OpTag.EVICT,
-                request=None,
-                sync=False,
-                stealable=False,
-                on_complete=self._evict_read_done,
+                lba, 1, False, OpTag.EVICT, None, False, False, self._evict_read_done
             )
         )
 
     def _evict_read_done(self, op: DeviceOp) -> None:
         self.hdd.submit(
-            DeviceOp(
-                op.lba,
-                op.nblocks,
-                is_write=True,
-                tag=OpTag.EVICT,
-                request=None,
-                sync=False,
-                stealable=False,
-            )
+            DeviceOp(op.lba, op.nblocks, True, OpTag.EVICT, None, False, False)
         )
 
     def flush_block(self, lba: int) -> bool:
@@ -489,14 +466,7 @@ class CacheController:
         self.stats.evict_flushes += 1
         self.ssd.submit(
             DeviceOp(
-                lba,
-                1,
-                is_write=False,
-                tag=OpTag.EVICT,
-                request=None,
-                sync=False,
-                stealable=False,
-                on_complete=self._bg_flush_read_done,
+                lba, 1, False, OpTag.EVICT, None, False, False, self._bg_flush_read_done
             )
         )
         return True
@@ -506,12 +476,12 @@ class CacheController:
             DeviceOp(
                 op.lba,
                 op.nblocks,
-                is_write=True,
-                tag=OpTag.EVICT,
-                request=None,
-                sync=False,
-                stealable=False,
-                on_complete=self._bg_flush_write_done,
+                True,
+                OpTag.EVICT,
+                None,
+                False,
+                False,
+                self._bg_flush_write_done,
             )
         )
 

@@ -9,7 +9,7 @@ into device operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable, Iterator, Optional
 
 from repro.cache.block import CacheBlock
@@ -95,6 +95,9 @@ class CacheStore:
         self.stats = StoreStats()
         self._occupied = 0
         self._dirty = 0
+        #: Dirty blocks per set, by set index: ``dirty_blocks`` skips the
+        #: sets whose count is zero.
+        self._set_dirty = [0] * self.num_sets
 
     # ------------------------------------------------------------------
     # Addressing
@@ -102,9 +105,6 @@ class CacheStore:
     def set_index(self, lba: int) -> int:
         """Set index for a block address."""
         return lba % self.num_sets
-
-    def _set_for(self, lba: int) -> _CacheSet:
-        return self._sets[lba % self.num_sets]
 
     # ------------------------------------------------------------------
     # Lookup / insert / invalidate
@@ -129,7 +129,7 @@ class CacheStore:
 
     def peek(self, lba: int) -> Optional[CacheBlock]:
         """Lookup without stats or recency update."""
-        return self._set_for(lba).entries.get(lba)
+        return self._sets[lba % self.num_sets].entries.get(lba)
 
     def first_clean(self, lbas: Iterable[int], limit: int) -> Optional[int]:
         """The first resident, clean LBA among the first ``limit`` of ``lbas``.
@@ -157,12 +157,14 @@ class CacheStore:
             Re-inserting a resident block refreshes it in place and never
             evicts.
         """
-        cset = self._set_for(lba)
+        index = lba % self.num_sets
+        cset = self._sets[index]
         existing = cset.entries.get(lba)
         if existing is not None:
             if dirty and not existing.dirty:
                 existing.dirty = True
                 self._dirty += 1
+                self._set_dirty[index] += 1
             existing.touch(now)
             cset.policy.on_access(cset.entries, existing)
             return existing, None
@@ -173,10 +175,10 @@ class CacheStore:
             victim = cset.entries.pop(victim_lba)
             if victim.dirty:
                 self._dirty -= 1
+                self._set_dirty[index] -= 1
+                self.stats.dirty_evictions += 1
             self._occupied -= 1
             self.stats.evictions += 1
-            if victim.dirty:
-                self.stats.dirty_evictions += 1
             eviction = EvictionInfo(victim_lba, victim.dirty)
 
         block = CacheBlock(lba, now, dirty=dirty)
@@ -185,18 +187,20 @@ class CacheStore:
         self._occupied += 1
         if dirty:
             self._dirty += 1
+            self._set_dirty[index] += 1
         self.stats.insertions += 1
         return block, eviction
 
     def invalidate(self, lba: int) -> bool:
         """Drop ``lba`` from the cache; returns whether it was resident."""
-        cset = self._set_for(lba)
-        block = cset.entries.pop(lba, None)
+        index = lba % self.num_sets
+        block = self._sets[index].entries.pop(lba, None)
         if block is None:
             return False
         self._occupied -= 1
         if block.dirty:
             self._dirty -= 1
+            self._set_dirty[index] -= 1
         self.stats.invalidations += 1
         return True
 
@@ -209,6 +213,7 @@ class CacheStore:
         if block is not None and not block.dirty:
             block.dirty = True
             self._dirty += 1
+            self._set_dirty[lba % self.num_sets] += 1
 
     def mark_clean(self, lba: int) -> None:
         """Mark a resident block clean (after a flush)."""
@@ -216,11 +221,19 @@ class CacheStore:
         if block is not None and block.dirty:
             block.dirty = False
             self._dirty -= 1
+            self._set_dirty[lba % self.num_sets] -= 1
 
     def dirty_blocks(self, limit: Optional[int] = None) -> list[int]:
-        """LBAs of dirty blocks, oldest-inserted first, up to ``limit``."""
+        """LBAs of dirty blocks, up to ``limit`` (a ``limit`` of 0 gives one).
+
+        The order is by set index, then by each set's entry order (the
+        replacement policy's: least recently used first under LRU).  So
+        a partial listing always comes from the lowest-numbered sets that
+        hold a dirty block, not from the oldest dirty blocks.  Sets with
+        no dirty block are skipped without a look at their entries.
+        """
         out: list[int] = []
-        for cset in self._sets:
+        for cset in compress(self._sets, self._set_dirty):
             for lba, block in cset.entries.items():
                 if block.dirty:
                     out.append(lba)

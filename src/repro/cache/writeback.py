@@ -49,7 +49,16 @@ class WritebackConfig:
 
 
 class WritebackFlusher:
-    """Periodic background destaging of dirty cache blocks."""
+    """Periodic background destaging of dirty cache blocks.
+
+    Each tick takes the first ``batch`` blocks of
+    :meth:`~repro.cache.store.CacheStore.dirty_blocks`, which lists them
+    in set order, so the flusher always works on the lowest-numbered
+    sets that hold a dirty block.  A block stays dirty until its
+    write-back completes, so a tick whose first ``batch`` dirty blocks
+    are all still in flight flushes nothing.  The committed golden
+    fingerprints pin this behaviour.
+    """
 
     def __init__(
         self,

@@ -11,7 +11,7 @@ as the device's service time (``svctm``) — the ``ssdLatency`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro.io.device_queue import DeviceQueue
@@ -41,21 +41,11 @@ class DeviceStats:
     blocks_read: int = 0
     blocks_written: int = 0
     busy_time: float = 0.0
-    total_service_time: float = 0.0
-    #: Completion counts keyed by :class:`~repro.io.request.OpTag` member;
-    #: since ``OpTag`` is a ``str`` subclass the keys hash and compare
-    #: equal to their letter (``stats.completions_by_tag.get("P")`` works).
-    completions_by_tag: dict = field(default_factory=dict)
 
     @property
     def total_ops(self) -> int:
         """Completed operation count."""
         return self.reads + self.writes
-
-    @property
-    def mean_service_time(self) -> float:
-        """Average measured service time (µs) over all completions."""
-        return self.total_service_time / self.total_ops if self.total_ops else 0.0
 
 
 class StorageDevice:
@@ -103,7 +93,7 @@ class StorageDevice:
     # Submission / dispatch
     # ------------------------------------------------------------------
     def submit(self, op: DeviceOp) -> None:
-        """Enqueue an operation and kick the dispatcher."""
+        """Enqueue an operation; an idle device starts it in this call."""
         queue = self.queue
         now = self.sim.now
         # Runs once per device op, so the queue's bookkeeping is written
@@ -117,12 +107,32 @@ class StorageDevice:
         op.enqueue_time = now
         qstats = queue.stats
         qstats.enqueued += 1
-        qstats.by_tag[op.tag] += 1
+        by_tag = qstats.by_tag
+        tag = op.tag
+        by_tag[tag] = by_tag.get(tag, 0) + 1
+        observers = self._q_observers
+        if not pending and inflight < self.depth and now >= self._paused_until:
+            # Idle device: the op starts in this call, with no pass
+            # through the pending deque and no _dispatch frame.
+            if inflight >= queue._window_max:
+                queue._window_max = inflight + 1
+            if observers:
+                for fn in observers:
+                    fn(op)
+            self._start(op, now)
+            return
         merged = False
         max_merge = queue.max_merge_blocks
         if max_merge and pending:
+            # Back-merge when ``op`` extends the tail contiguously, in the
+            # same direction and tag, within the size bound.
             tail = pending[-1]
-            if tail.can_merge_back(op, max_merge):
+            if (
+                tail.lba + tail.nblocks == op.lba
+                and tail.is_write == op.is_write
+                and tail.tag == tag
+                and tail.nblocks + op.nblocks <= max_merge
+            ):
                 tail.absorb(op)
                 qstats.merged += 1
                 merged = True
@@ -131,7 +141,6 @@ class StorageDevice:
             qsize = len(pending) + inflight
             if qsize > queue._window_max:
                 queue._window_max = qsize
-        observers = self._q_observers
         if observers:
             for fn in observers:
                 fn(op)
@@ -141,8 +150,8 @@ class StorageDevice:
             self._dispatch()
 
     def _dispatch(self) -> None:
-        # Cheap early-outs first: roughly half the calls (the kick after
-        # each completion) find nothing to dispatch.
+        # Cheap early-outs first: the end of a pause, or a submit to a
+        # paused device, may find nothing it can start.
         queue = self.queue
         pending = queue.pending
         if not pending:
@@ -160,28 +169,30 @@ class StorageDevice:
         if now > last:
             queue._area += (len(pending) + inflight) * (now - last)
             queue._last_change = now
-        # Inner loop runs once per dispatched op; hoist every attribute
-        # chain that is loop-invariant.
+        start = self._start
+        while pending and queue.inflight < depth:
+            start(pending.popleft(), now)
+
+    def _start(self, op: DeviceOp, now: float) -> None:
+        """Dispatch ``op`` at ``now``: the only code that starts an op.
+
+        Stamps it, counts it in flight, prices it with the service model
+        and schedules its completion.  ``submit`` calls it for an op that
+        finds the device idle, ``_dispatch`` for each queued op.
+        """
+        op.dispatch_time = now
+        queue = self.queue
+        queue.inflight += 1
+        queue.stats.dispatched += 1
+        service = self.model.service_time(op, now)
+        if not service >= 0.0:  # negative or NaN
+            raise ValueError(f"{self.name}: invalid service time {service}")
+        self.stats.busy_time += service
         observers = self._d_observers
-        service_time = self.model.service_time
-        complete = self._complete
-        schedule = self.sim.schedule
-        stats = self.stats
-        qstats = queue.stats
-        while pending and inflight < depth:
-            op = pending.popleft()
-            op.dispatch_time = now
-            inflight += 1
-            queue.inflight = inflight
-            qstats.dispatched += 1
-            service = service_time(op, now)
-            if service < 0:
-                raise ValueError(f"{self.name}: negative service time {service}")
-            stats.busy_time += service
-            if observers:
-                for fn in observers:
-                    fn(op)
-            schedule(service, complete, op, service)
+        if observers:
+            for fn in observers:
+                fn(op)
+        self.sim.schedule(service, self._complete, op, service)
 
     def _complete(self, op: DeviceOp, service: float) -> None:
         now = self.sim.now
@@ -206,10 +217,6 @@ class StorageDevice:
             stats.reads += 1
             stats.blocks_read += nblocks
             self._lat_read = (1 - a) * self._lat_read + a * service
-        stats.total_service_time += service
-        by_tag = stats.completions_by_tag
-        tag = op.tag
-        by_tag[tag] = by_tag.get(tag, 0) + 1
         observers = self._c_observers
         if observers:
             for fn in observers:

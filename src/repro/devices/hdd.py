@@ -26,6 +26,7 @@ write pays the full mechanical cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, isfinite
 
 from repro.io.request import DeviceOp
 
@@ -50,10 +51,23 @@ class HddConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-        if min(self.avg_seek_us, self.rotation_us, self.transfer_us_per_block) < 0:
+        latencies = (
+            "avg_seek_us",
+            "rotation_us",
+            "transfer_us_per_block",
+            "cached_write_us",
+        )
+        for name in (*latencies, "destage_us", "jitter_sigma"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if min(getattr(self, name) for name in latencies) < 0:
             raise ValueError("latencies must be non-negative")
         if self.write_cache_slots < 0 or self.destage_us <= 0:
             raise ValueError("write-cache parameters must be positive")
+        if self.seq_window_blocks < 0:
+            raise ValueError("seq_window_blocks must be non-negative")
+        if self.jitter_sigma < 0:
+            raise ValueError("jitter_sigma must be non-negative (0 disables)")
 
 
 class HddModel:
@@ -75,12 +89,6 @@ class HddModel:
         self._cache_time = 0.0
 
     # -- write cache ----------------------------------------------------
-    def _drain_cache(self, now: float) -> None:
-        dt = now - self._cache_time
-        if dt > 0:
-            self._cache_used = max(0.0, self._cache_used - dt / self.config.destage_us)
-            self._cache_time = now
-
     @property
     def write_cache_fill(self) -> float:
         """Fraction of the on-board write cache currently occupied."""
@@ -90,20 +98,30 @@ class HddModel:
 
     # -- mechanical cost --------------------------------------------------
     def _mechanical_us(self, op: DeviceOp) -> float:
+        """Seek, rotation and transfer of ``op``; moves the head past it.
+
+        The random draws are ``uniform(0.4, 1.6)`` and ``uniform(0.0,
+        1.0)`` written out as numpy computes them, ``lo + (hi - lo) *
+        random()``: the same values and generator state for a fraction
+        of a scalar ``uniform`` call's cost.
+        """
         cfg = self.config
-        distance = abs(op.lba - self._head_lba)
+        lba = op.lba
+        nblocks = op.nblocks
+        distance = abs(lba - self._head_lba)
+        self._head_lba = lba + nblocks
+        transfer = cfg.transfer_us_per_block * nblocks
         if distance <= cfg.seq_window_blocks:
             # sequential streak: transfer only
-            positioning = 0.0
+            return transfer
+        rng = self.rng
+        if rng is not None:
+            seek = cfg.avg_seek_us * (0.4 + (1.6 - 0.4) * rng.random())
+            rot = cfg.rotation_us * rng.random()
         else:
-            if self.rng is not None:
-                seek = cfg.avg_seek_us * float(self.rng.uniform(0.4, 1.6))
-                rot = cfg.rotation_us * float(self.rng.uniform(0.0, 1.0))
-            else:
-                seek = cfg.avg_seek_us
-                rot = cfg.rotation_us / 2.0
-            positioning = seek + rot
-        return positioning + cfg.transfer_us_per_block * op.nblocks
+            seek = cfg.avg_seek_us
+            rot = cfg.rotation_us / 2.0
+        return seek + rot + transfer
 
     # -- ServiceModel protocol --------------------------------------------
     @property
@@ -118,21 +136,32 @@ class HddModel:
         return self.config.cached_write_us
 
     def service_time(self, op: DeviceOp, now: float) -> float:
-        """Price one operation, updating head position and write cache."""
+        """Price one operation, updating head position and write cache.
+
+        Runs once per HDD op.  The jitter is ``lognormal(0, sigma)``
+        written out as numpy computes it, ``exp(0 + sigma *
+        standard_normal())`` (the ``0 +`` changes no value of ``exp``):
+        the same value and generator state for less than a scalar
+        ``lognormal`` call's cost.
+        """
         cfg = self.config
         if op.is_write:
-            self._drain_cache(now)
+            # Drain the write cache for the time since the last write.
+            dt = now - self._cache_time
+            if dt > 0:
+                used = self._cache_used - dt / cfg.destage_us
+                self._cache_used = used if used > 0.0 else 0.0
+                self._cache_time = now
             if self._cache_used + 1 <= cfg.write_cache_slots:
                 self._cache_used += 1
-                total = cfg.cached_write_us + cfg.transfer_us_per_block * max(
-                    op.nblocks - 1, 0
+                total = cfg.cached_write_us + cfg.transfer_us_per_block * (
+                    op.nblocks - 1
                 )
             else:
                 total = self._mechanical_us(op)
-                self._head_lba = op.end_lba
         else:
             total = self._mechanical_us(op)
-            self._head_lba = op.end_lba
-        if self.rng is not None and cfg.jitter_sigma > 0:
-            total *= float(self.rng.lognormal(0.0, cfg.jitter_sigma))
+        rng = self.rng
+        if rng is not None and cfg.jitter_sigma > 0:
+            total *= exp(cfg.jitter_sigma * rng.standard_normal())
         return total

@@ -21,6 +21,7 @@ configurable knee) interpolates the write cost between ``write_us`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,25 @@ class SsdConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
+        for name in (
+            "read_us",
+            "write_us",
+            "cliff_write_us",
+            "per_block_us",
+            "gc_decay_us",
+            "gc_knee_blocks",
+            "jitter_sigma",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if min(self.read_us, self.write_us, self.per_block_us) < 0:
             raise ValueError("latencies must be non-negative")
         if self.cliff_write_us < self.write_us:
             raise ValueError("cliff_write_us must be >= write_us")
         if self.gc_decay_us <= 0 or self.gc_knee_blocks <= 0:
             raise ValueError("GC parameters must be positive")
+        if self.jitter_sigma < 0:
+            raise ValueError("jitter_sigma must be non-negative (0 disables)")
 
 
 class SsdModel:

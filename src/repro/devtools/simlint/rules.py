@@ -370,12 +370,14 @@ class HotPathRule(Rule):
     title = "hot-path functions stay allocation-lean"
     explanation = (
         "The per-event dispatch chain (Simulator.run/schedule,\n"
-        "CacheStore.lookup, StorageDevice.submit/_dispatch/_complete,\n"
+        "CacheStore.lookup, StorageDevice.submit/_dispatch/_start/\n"
+        "_complete, SsdModel/HddModel.service_time,\n"
         "CacheController._do_read/_do_write/_sync_done, Workload._arrive)\n"
         "runs millions of times per scenario, so every allocation in it\n"
-        "is multiplied.  Inside these functions: no lambdas and no\n"
-        "nested defs — schedule a bound method with positional arguments\n"
-        "instead of a closure."
+        "is multiplied; _start and each service_time run once per device\n"
+        "op.  Inside these functions: no lambdas and no nested defs —\n"
+        "schedule a bound method with positional arguments instead of a\n"
+        "closure."
     )
 
     _HOT: frozenset[tuple[str, str]] = frozenset(
@@ -385,7 +387,10 @@ class HotPathRule(Rule):
             ("repro.cache.store", "CacheStore.lookup"),
             ("repro.devices.base", "StorageDevice.submit"),
             ("repro.devices.base", "StorageDevice._dispatch"),
+            ("repro.devices.base", "StorageDevice._start"),
             ("repro.devices.base", "StorageDevice._complete"),
+            ("repro.devices.ssd", "SsdModel.service_time"),
+            ("repro.devices.hdd", "HddModel.service_time"),
             ("repro.cache.controller", "CacheController._do_read"),
             ("repro.cache.controller", "CacheController._do_write"),
             ("repro.cache.controller", "CacheController._sync_done"),

@@ -9,9 +9,12 @@ by removing requests from the **tail** of the SSD queue.
 :class:`~repro.devices.base.StorageDevice`, is the only code that moves an
 op through it: ``submit`` enqueues (back-merging contiguous same-direction
 ops with the tail, like the block layer's elevator, up to
-``max_merge_blocks``), ``_dispatch`` moves ops to in-flight and
-``_complete`` retires them, each updating the counters and the occupancy
-integral as it goes.  The queue itself answers:
+``max_merge_blocks``), ``_start`` moves one op to in-flight and
+``_complete`` retires it, each updating the counters and the occupancy
+integral as it goes.  An op that finds the device idle (nothing pending,
+a free slot, dispatch not paused) is started by ``submit`` itself and
+never enters ``pending``; queued ops are started by ``_dispatch``, which
+a completion or the end of a pause runs.  The queue itself answers:
 
 - :meth:`window_stats` / :meth:`reset_window` — time-weighted average and
   per-window maximum queue depth, which is what our iostat substrate
@@ -43,7 +46,10 @@ class QueueStats:
     completed: int = 0
     merged: int = 0
     stolen: int = 0
-    by_tag: Counter = field(default_factory=Counter)
+    #: Enqueued ops per :class:`~repro.io.request.OpTag`, merged ops
+    #: included; a plain ``dict`` (tags appear at their first op), since
+    #: it is bumped once per device op.
+    by_tag: dict = field(default_factory=dict)
 
     def snapshot(self) -> dict:
         """A plain-dict copy (for reports)."""

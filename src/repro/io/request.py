@@ -217,15 +217,6 @@ class DeviceOp:
             raise RuntimeError(f"op {self.op_id} not complete")
         return self.complete_time - self.enqueue_time
 
-    def can_merge_back(self, other: "DeviceOp", max_blocks: int) -> bool:
-        """Whether ``other`` extends this op contiguously at its end."""
-        return (
-            self.is_write == other.is_write
-            and self.tag == other.tag
-            and self.end_lba == other.lba
-            and self.nblocks + other.nblocks <= max_blocks
-        )
-
     def absorb(self, other: "DeviceOp") -> None:
         """Back-merge ``other`` into this op (completion is chained)."""
         self.nblocks += other.nblocks

@@ -232,7 +232,10 @@ class ScenarioSpec:
                     f"scenario {self.name!r}: sweep[{path!r}] must be non-empty"
                 )
         config = self.to_config()
-        config.validate()
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
         if isinstance(self.workload, str):
             from repro.experiments.system import resolve_workload_name
 

@@ -43,9 +43,9 @@ class BlkTracer:
         self.record_events = record_events
         self.records: deque[TraceRecord] = deque(maxlen=capacity)
         self._devices: dict[str, StorageDevice] = {}
-        # Per device, a copy of its queue's ``by_tag`` counter as of the
+        # Per device, a copy of its queue's ``by_tag`` counts as of the
         # start of the current window (``attach`` or the last take).
-        self._window_starts: dict[str, Counter] = {}
+        self._window_starts: dict[str, dict] = {}
         self.dropped = 0
 
     # ------------------------------------------------------------------
@@ -56,7 +56,7 @@ class BlkTracer:
         if device.name in self._devices:
             raise ValueError(f"device {device.name!r} already attached")
         self._devices[device.name] = device
-        self._window_starts[device.name] = Counter(device.queue.stats.by_tag)
+        self._window_starts[device.name] = device.queue.stats.by_tag.copy()
         for transition, observe in self._make_observers(device.name):
             device.add_transition_observer(transition, observe)
 
@@ -132,16 +132,21 @@ class BlkTracer:
         sampling windows of a scaled-down simulation, so LBICA's
         characterizer consumes this (with the instantaneous snapshot as a
         fallback when the window is empty).  The counts are the queue's
-        own lifetime ``stats.by_tag`` minus its copy at the window start;
-        ``Counter`` subtraction drops zero entries, so an idle window is
-        an empty, falsy ``Counter``.
+        own lifetime ``stats.by_tag`` minus its copy at the window start,
+        in the queue's tag order; tags with no new op are left out, so an
+        idle window is an empty, falsy ``Counter``.
         """
         device = self._devices.get(device_name)
         if device is None:
             raise KeyError(f"device {device_name!r} is not traced")
         by_tag = device.queue.stats.by_tag
-        counts = by_tag - self._window_starts[device_name]
-        self._window_starts[device_name] = Counter(by_tag)
+        start = self._window_starts[device_name]
+        counts: Counter = Counter()
+        for tag, total in by_tag.items():
+            delta = total - start.get(tag, 0)
+            if delta > 0:
+                counts[tag] = delta
+        self._window_starts[device_name] = by_tag.copy()
         return counts
 
     def queue_mix(self, device_name: str) -> dict[str, float]:

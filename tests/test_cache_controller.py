@@ -47,7 +47,8 @@ class TestReads:
         assert req.served_by == {"hdd"}
         assert hdd.stats.reads == 1
         assert 10 in store  # promoted
-        assert ssd.stats.completions_by_tag.get("P") == 1
+        assert ssd.queue.stats.by_tag == {OpTag.PROMOTE: 1}
+        assert ssd.queue.stats.completed == ssd.stats.writes == 1
 
     def test_wo_read_miss_not_promoted(self, sim, controller, store, hdd):
         controller.set_policy(WritePolicy.WO)
@@ -82,8 +83,12 @@ class TestWritesWB:
         submit_and_run(sim, controller, 0, is_write=True)
         submit_and_run(sim, controller, s, is_write=True)  # evicts dirty 0
         assert controller.stats.evict_flushes == 1
-        assert ssd.stats.completions_by_tag.get("E") == 1  # evict read
-        assert hdd.stats.completions_by_tag.get("E") == 1  # write-back
+        # two cached writes and the evict read on the SSD, the write-back
+        # on the HDD, all completed
+        assert ssd.queue.stats.by_tag == {OpTag.WRITE: 2, OpTag.EVICT: 1}
+        assert ssd.queue.stats.completed == 3 and ssd.stats.reads == 1
+        assert hdd.queue.stats.by_tag == {OpTag.EVICT: 1}
+        assert hdd.queue.stats.completed == hdd.stats.writes == 1
 
 
 class TestWritesWT:
@@ -173,7 +178,10 @@ class TestRedirection:
         assert controller.stats.promotes_cancelled == 1
         assert 60 not in store
         sim.run()
-        assert ssd.stats.completions_by_tag.get("P") is None
+        # the promotion was the SSD's only op: stolen, so never completed
+        assert ssd.queue.stats.by_tag == {OpTag.PROMOTE: 1}
+        assert ssd.queue.stats.stolen == 1
+        assert ssd.queue.stats.completed == ssd.stats.total_ops == 0
 
     def test_wt_redirect_completes_for_free(self, sim, controller, store, ssd, hdd):
         controller.set_policy(WritePolicy.WT)
@@ -212,7 +220,8 @@ class TestBackgroundFlush:
         assert controller.flush_block(90)
         sim.run()
         assert not store.peek(90).dirty
-        assert hdd.stats.completions_by_tag.get("E") == 1
+        assert hdd.queue.stats.by_tag == {OpTag.EVICT: 1}
+        assert hdd.queue.stats.completed == hdd.stats.writes == 1
 
     def test_flush_clean_block_is_noop(self, sim, controller, store):
         store.insert(91, 0.0)

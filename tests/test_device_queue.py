@@ -101,6 +101,39 @@ class TestMerging:
         assert len(dev.queue.pending) == 2
         assert dev.queue.stats.merged == 0
 
+    def test_non_contiguous_does_not_merge(self):
+        dev = device(max_merge_blocks=8, pause_us=HOLD_US)
+        dev.submit(op(0, 2, write=True, tag=OpTag.WRITE))
+        dev.submit(op(5, 2, write=True, tag=OpTag.WRITE))
+        assert len(dev.queue.pending) == 2
+        assert dev.queue.stats.merged == 0
+
+    def test_different_direction_does_not_merge(self):
+        # same tag and contiguous: only the direction differs
+        dev = device(max_merge_blocks=8, pause_us=HOLD_US)
+        dev.submit(op(0, 2, write=False, tag=OpTag.EVICT))
+        dev.submit(op(2, 2, write=True, tag=OpTag.EVICT))
+        assert len(dev.queue.pending) == 2
+        assert dev.queue.stats.merged == 0
+
+    def test_different_tag_does_not_merge(self):
+        # same direction and contiguous: only the tag differs
+        dev = device(max_merge_blocks=8, pause_us=HOLD_US)
+        dev.submit(op(0, 2, write=True, tag=OpTag.WRITE))
+        dev.submit(op(2, 2, write=True, tag=OpTag.PROMOTE))
+        assert len(dev.queue.pending) == 2
+        assert dev.queue.stats.merged == 0
+
+    def test_merge_bound_respected(self):
+        # 6 + 4 blocks merge only where the bound allows 10
+        for bound, merged in ((9, 0), (10, 1), (16, 1)):
+            dev = device(max_merge_blocks=bound, pause_us=HOLD_US)
+            a = op(0, 6, write=True, tag=OpTag.WRITE)
+            dev.submit(a)
+            dev.submit(op(6, 4, write=True, tag=OpTag.WRITE))
+            assert dev.queue.stats.merged == merged, bound
+            assert len(dev.queue.pending) == 2 - merged, bound
+
     def test_merge_only_against_tail(self):
         dev = device(max_merge_blocks=8, pause_us=HOLD_US)
         dev.submit(op(0, 2, write=True, tag=OpTag.WRITE))

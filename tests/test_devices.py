@@ -83,8 +83,59 @@ class TestSsdModel:
         with pytest.raises(ValueError):
             SsdConfig(gc_knee_blocks=0).validate()
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "read_us",
+            "write_us",
+            "cliff_write_us",
+            "per_block_us",
+            "gc_decay_us",
+            "gc_knee_blocks",
+            "jitter_sigma",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SsdConfig(**{field: value}).validate()
+
+    def test_negative_jitter_sigma_rejected(self):
+        SsdConfig(jitter_sigma=0.0).validate()  # 0 disables jitter
+        with pytest.raises(ValueError, match="jitter_sigma"):
+            SsdConfig(jitter_sigma=-0.1).validate()
+
 
 class TestHddModel:
+    def test_draws_match_numpy_uniform_and_lognormal(self):
+        # Positioning draws uniform(0.4, 1.6) and uniform(0, 1) as
+        # lo + (hi - lo) * random(), and jitter draws lognormal(0, sigma)
+        # as exp(sigma * standard_normal()): numpy computes them the same
+        # way, so every price and the final generator state must equal
+        # those built from numpy's own calls, draw for draw.
+        cfg = HddConfig(jitter_sigma=0.2, write_cache_slots=10**6)
+        model = HddModel(cfg, rng=np.random.default_rng(7))
+        ref = np.random.default_rng(7)
+        draws = 0
+        for i in range(5000):
+            # every read is a far jump; every write lands in the cache
+            if i % 3 == 2:
+                op = write_op(lba=(i + 1) * 1000, n=1 + i % 4)
+                expected = cfg.cached_write_us + cfg.transfer_us_per_block * (
+                    op.nblocks - 1
+                )
+            else:
+                op = read_op(lba=(i + 1) * 1000, n=1 + i % 4)
+                seek = cfg.avg_seek_us * float(ref.uniform(0.4, 1.6))
+                rot = cfg.rotation_us * float(ref.uniform(0.0, 1.0))
+                expected = seek + rot + cfg.transfer_us_per_block * op.nblocks
+                draws += 2
+            expected *= float(ref.lognormal(0.0, cfg.jitter_sigma))
+            draws += 1
+            assert model.service_time(op, i * 10.0) == expected, i
+        assert draws >= 10_000
+        assert model.rng.bit_generator.state == ref.bit_generator.state
+
     def test_random_read_pays_seek_and_rotation(self):
         cfg = HddConfig(jitter_sigma=0.0)
         m = HddModel(cfg)
@@ -130,6 +181,34 @@ class TestHddModel:
             HddConfig(avg_seek_us=-1).validate()
         with pytest.raises(ValueError):
             HddConfig(destage_us=0).validate()
+        with pytest.raises(ValueError):
+            HddConfig(cached_write_us=-1.0).validate()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "avg_seek_us",
+            "rotation_us",
+            "transfer_us_per_block",
+            "cached_write_us",
+            "destage_us",
+            "jitter_sigma",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            HddConfig(**{field: value}).validate()
+
+    def test_negative_jitter_sigma_rejected(self):
+        HddConfig(jitter_sigma=0.0).validate()  # 0 disables jitter
+        with pytest.raises(ValueError, match="jitter_sigma"):
+            HddConfig(jitter_sigma=-1.0).validate()
+
+    def test_negative_seq_window_rejected(self):
+        HddConfig(seq_window_blocks=0).validate()
+        with pytest.raises(ValueError, match="seq_window_blocks"):
+            HddConfig(seq_window_blocks=-5).validate()
 
 
 class TestPresets:
@@ -201,6 +280,42 @@ class TestStorageDevice:
         )
         sim.run()
         assert done[0] == pytest.approx(1000.0 + cfg.read_us)
+
+    def test_idle_submit_dispatches_in_the_same_call(self):
+        sim = Simulator()
+        dev = StorageDevice(sim, "ssd", SsdModel(SsdConfig(jitter_sigma=0.0)))
+        events = []
+        for transition in ("queue", "issue"):
+            dev.add_transition_observer(
+                transition, lambda op, t=transition: events.append((t, op))
+            )
+        sim.run(until=5.0)
+        o = read_op()
+        dev.submit(o)
+        assert events == [("queue", o), ("issue", o)]
+        assert o.enqueue_time == o.dispatch_time == 5.0
+        assert dev.queue.inflight == 1 and not dev.queue.pending
+        assert dev.queue.stats.dispatched == 1
+
+    def test_paused_or_saturated_submit_stays_pending(self):
+        sim = Simulator()
+        paused = StorageDevice(sim, "p", SsdModel(SsdConfig(jitter_sigma=0.0)))
+        paused.pause_dispatch(10.0)
+        held = read_op()
+        paused.submit(held)
+        assert list(paused.queue.pending) == [held]
+        assert held.dispatch_time == -1.0 and paused.queue.inflight == 0
+
+        full = StorageDevice(sim, "f", SsdModel(SsdConfig(jitter_sigma=0.0)), depth=2)
+        first, second, third = read_op(0), read_op(100), read_op(200)
+        for o in (first, second, third):
+            full.submit(o)
+        assert full.queue.inflight == 2
+        assert list(full.queue.pending) == [third]
+        assert third.dispatch_time == -1.0
+        sim.run()
+        assert held.dispatch_time == 10.0
+        assert third.dispatch_time > 0.0 and full.queue.stats.completed == 3
 
     def test_observer_sees_all_transitions(self):
         sim = Simulator()

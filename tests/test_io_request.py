@@ -89,34 +89,3 @@ class TestDeviceOp:
             _ = op.service_latency
         op.complete_time = 6.0
         assert op.service_latency == 5.0
-
-
-class TestMerging:
-    def test_contiguous_same_tag_merges(self):
-        a = DeviceOp(0, 2, is_write=True, tag=OpTag.WRITE)
-        b = DeviceOp(2, 2, is_write=True, tag=OpTag.WRITE)
-        assert a.can_merge_back(b, max_blocks=8)
-        a.absorb(b)
-        assert a.nblocks == 4
-        assert b in a.merged
-
-    def test_non_contiguous_does_not_merge(self):
-        a = DeviceOp(0, 2, is_write=True, tag=OpTag.WRITE)
-        b = DeviceOp(5, 2, is_write=True, tag=OpTag.WRITE)
-        assert not a.can_merge_back(b, max_blocks=8)
-
-    def test_different_direction_does_not_merge(self):
-        a = DeviceOp(0, 2, is_write=True, tag=OpTag.WRITE)
-        b = DeviceOp(2, 2, is_write=False, tag=OpTag.READ)
-        assert not a.can_merge_back(b, max_blocks=8)
-
-    def test_different_tag_does_not_merge(self):
-        a = DeviceOp(0, 2, is_write=True, tag=OpTag.WRITE)
-        b = DeviceOp(2, 2, is_write=True, tag=OpTag.PROMOTE)
-        assert not a.can_merge_back(b, max_blocks=8)
-
-    def test_merge_bound_respected(self):
-        a = DeviceOp(0, 6, is_write=True, tag=OpTag.WRITE)
-        b = DeviceOp(6, 4, is_write=True, tag=OpTag.WRITE)
-        assert not a.can_merge_back(b, max_blocks=8)
-        assert a.can_merge_back(b, max_blocks=16)

@@ -77,6 +77,73 @@ def test_store_insert_is_idempotent_on_occupancy(lbas):
     assert store.occupied == first  # idempotent w.r.t. residency count
 
 
+dirty_script = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert", "insert_dirty", "mark_dirty", "mark_clean", "invalidate", "lookup"]
+        ),
+        # 32 addresses over 4 two-way sets: inserts often evict.
+        st.integers(min_value=0, max_value=31),
+    ),
+    max_size=200,
+)
+
+#: Always run: the third insert into set 0 evicts the dirty block 0.
+DIRTY_EVICTION_SCRIPT = [("insert_dirty", 0), ("insert", 4), ("insert", 8)]
+
+
+def _scan_dirty(store: CacheStore, limit=None) -> list[int]:
+    """Reference listing: a scan of every set's entries, in set order.
+
+    This is the loop ``dirty_blocks`` ran before it kept per-set counts.
+    """
+    out: list[int] = []
+    for cset in store._sets:
+        for lba, block in cset.entries.items():
+            if block.dirty:
+                out.append(lba)
+                if limit is not None and len(out) >= limit:
+                    return out
+    return out
+
+
+@given(
+    ops=dirty_script,
+    repl=st.sampled_from(["lru", "fifo", "clock", "lfu"]),
+    limit=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+)
+@example(ops=DIRTY_EVICTION_SCRIPT, repl="lru", limit=None)
+@settings(max_examples=60, deadline=None)
+def test_store_per_set_dirty_counts(ops, repl, limit):
+    """Each set's dirty count is its number of dirty blocks, the counts
+    sum to ``dirty_count``, and ``dirty_blocks`` lists what a scan of
+    every set lists, after every insert (with evictions), mark and
+    invalidate."""
+    store = CacheStore(8, associativity=2, replacement=repl)
+    now = 0.0
+    for action, lba in ops:
+        now += 1.0
+        if action == "insert":
+            store.insert(lba, now)
+        elif action == "insert_dirty":
+            store.insert(lba, now, dirty=True)
+        elif action == "mark_dirty":
+            store.mark_dirty(lba)
+        elif action == "mark_clean":
+            store.mark_clean(lba)
+        elif action == "invalidate":
+            store.invalidate(lba)
+        else:
+            store.lookup(lba, now)
+
+        for index, cset in enumerate(store._sets):
+            dirty = sum(block.dirty for block in cset.entries.values())
+            assert store._set_dirty[index] == dirty
+        assert sum(store._set_dirty) == store.dirty_count
+        assert store.dirty_blocks(limit) == _scan_dirty(store, limit)
+    assert store.dirty_blocks() == _scan_dirty(store)
+
+
 # ---------------------------------------------------------------------------
 # Device queue invariants, on the device that moves ops through the queue
 # ---------------------------------------------------------------------------

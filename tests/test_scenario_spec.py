@@ -109,6 +109,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             _quick_spec({"name": "x", "system": {"cache_blocks": -1}}).validate()
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            {"ssd": {"read_us": float("nan")}},
+            {"ssd": {"cliff_write_us": float("inf")}},
+            {"ssd": {"jitter_sigma": -0.1}},
+            {"hdd": {"avg_seek_us": float("nan")}},
+            {"hdd": {"jitter_sigma": -1}},
+            {"hdd": {"seq_window_blocks": -5}},
+        ],
+    )
+    def test_rejects_bad_device_model_values(self, system):
+        with pytest.raises(ScenarioError, match="scenario 'x'"):
+            ScenarioSpec.from_dict({"name": "x", "system": system})
+
     def test_rejects_malformed_inline_workload(self):
         with pytest.raises(ValueError):
             ScenarioSpec.from_dict(
@@ -249,6 +264,14 @@ class TestSmoke:
         for fingerprints in doc["files"].values():
             for fingerprint in fingerprints.values():
                 assert fingerprint["completed"] >= 0
+
+    def test_non_finite_device_time_fails_the_file(self, tmp_path):
+        # JSON's NaN literal parses to a float NaN
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"name": "nan", "system": {"ssd": {"read_us": NaN}}}')
+        doc = run_smoke([bad], horizon_intervals=2, verbose=False)
+        assert "read_us must be finite" in doc["errors"][str(bad)]
+        assert doc["files"] == {}
 
     def test_broken_file_reported_not_raised(self, tmp_path):
         bad = tmp_path / "bad.json"
