@@ -89,3 +89,20 @@ class TestDeviceOp:
             _ = op.service_latency
         op.complete_time = 6.0
         assert op.service_latency == 5.0
+
+
+class TestMerging:
+    def test_contiguous_same_tag_merges(self):
+        # StorageDevice.submit decides when the tail back-merges; absorb
+        # grows the tail and chains each absorbed op for completion.
+        a = DeviceOp(0, 2, is_write=True, tag=OpTag.WRITE)
+        b = DeviceOp(2, 2, is_write=True, tag=OpTag.WRITE)
+        c = DeviceOp(4, 1, is_write=True, tag=OpTag.WRITE)
+        assert list(a.merged) == []
+        a.absorb(b)
+        assert a.nblocks == 4
+        assert a.merged == [b]
+        a.absorb(c)
+        assert (a.lba, a.end_lba) == (0, 5)
+        assert a.merged == [b, c]
+        assert list(b.merged) == []
