@@ -34,6 +34,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CacheController", "CacheStats", "TenantStats", "PolicyChange"]
 
+# The queue tags as plain module globals: ``OpTag.READ`` goes through the
+# enum metaclass's ``__getattr__`` on every lookup, several times slower
+# than a global read, and the datapath tags every op it makes.
+_READ = OpTag.READ
+_WRITE = OpTag.WRITE
+_PROMOTE = OpTag.PROMOTE
+_EVICT = OpTag.EVICT
+
 
 @dataclass(frozen=True)
 class PolicyChange:
@@ -74,11 +82,8 @@ class CacheStats:
     """Lifetime counters for the cache datapath."""
 
     requests: int = 0
-    reads: int = 0
-    writes: int = 0
     read_hit_blocks: int = 0
     read_miss_blocks: int = 0
-    write_blocks: int = 0
     promotes_issued: int = 0
     promotes_cancelled: int = 0
     evict_flushes: int = 0
@@ -238,11 +243,9 @@ class CacheController:
             tenant = tenants[request.tenant_id] = TenantStats()
         tenant.requests += 1
         if request.is_write:
-            stats.writes += 1
             tenant.writes += 1
             self._do_write(request, tenant)
             return
-        stats.reads += 1
         tenant.reads += 1
         if request.nblocks != 1:
             self._do_read(request, tenant)
@@ -261,7 +264,7 @@ class CacheController:
                 lba,
                 1,
                 False,
-                OpTag.READ,
+                _READ,
                 request,
                 True,
                 not block.dirty,
@@ -277,7 +280,7 @@ class CacheController:
                 lba,
                 1,
                 False,
-                OpTag.READ,
+                _READ,
                 request,
                 True,
                 False,
@@ -298,7 +301,6 @@ class CacheController:
         lookup = self.store.lookup
         ssd, hdd = self.ssd, self.hdd
         served_by = request.served_by
-        read_tag = OpTag.READ
         # Every block contributes exactly one synchronous wait, and
         # completions are only ever delivered through the calendar, so
         # the whole request's waits can be credited up front.
@@ -312,7 +314,7 @@ class CacheController:
                     lba,
                     1,
                     False,
-                    read_tag,
+                    _READ,
                     request,
                     True,
                     not block.dirty,
@@ -327,7 +329,7 @@ class CacheController:
                     lba,
                     1,
                     False,
-                    read_tag,
+                    _READ,
                     request,
                     True,
                     False,
@@ -365,7 +367,7 @@ class CacheController:
         self.stats.promotes_issued += 1
         # Positional arguments, like the read and write paths: (lba,
         # nblocks, is_write, tag, request, sync, stealable[, on_complete]).
-        self.ssd.submit(DeviceOp(lba, 1, True, OpTag.PROMOTE, None, False, True))
+        self.ssd.submit(DeviceOp(lba, 1, True, _PROMOTE, None, False, True))
 
     # ------------------------------------------------------------------
     # Writes
@@ -377,9 +379,7 @@ class CacheController:
         store = self.store
         ssd, hdd = self.ssd, self.hdd
         served_by = request.served_by
-        add_wait = request.add_wait
-        sync_done = self._sync_done
-        write_tag = OpTag.WRITE
+        sync_done = self._sync_done_cb
         invalidate_on_write = behavior.invalidate_on_write
         cache_writes = behavior.cache_writes
         writes_through = behavior.writes_through
@@ -387,7 +387,6 @@ class CacheController:
         allocator = self.allocator
         tenant_id = request.tenant_id
         for lba in range(request.lba, request.end_lba):
-            stats.write_blocks += 1
             if invalidate_on_write:
                 # RO: the write supersedes any cached copy; the new data
                 # goes straight to the disk.
@@ -395,9 +394,9 @@ class CacheController:
                     allocator.note_remove(lba)
                 stats.writes_bypassed += 1
                 op = DeviceOp(
-                    lba, 1, True, write_tag, request, True, False, sync_done
+                    lba, 1, True, _WRITE, request, True, False, sync_done
                 )
-                add_wait()
+                request._outstanding += 1  # inlined add_wait()
                 served_by.add(hdd.name)
                 hdd.submit(op)
                 continue
@@ -408,9 +407,9 @@ class CacheController:
                     # the cache straight to the disk (soft partitioning).
                     stats.writes_bypassed += 1
                     op = DeviceOp(
-                        lba, 1, True, write_tag, request, True, False, sync_done
+                        lba, 1, True, _WRITE, request, True, False, sync_done
                     )
-                    add_wait()
+                    request._outstanding += 1  # inlined add_wait()
                     served_by.add(hdd.name)
                     hdd.submit(op)
                     continue
@@ -422,17 +421,17 @@ class CacheController:
                 if eviction is not None and eviction.was_dirty:
                     self._flush_evicted(eviction.lba)
                 op = DeviceOp(
-                    lba, 1, True, write_tag, request, True, True, sync_done
+                    lba, 1, True, _WRITE, request, True, True, sync_done
                 )
-                add_wait()
+                request._outstanding += 1  # inlined add_wait()
                 served_by.add(ssd.name)
                 ssd.submit(op)
 
             if writes_through:
                 op = DeviceOp(
-                    lba, 1, True, write_tag, request, True, False, sync_done
+                    lba, 1, True, _WRITE, request, True, False, sync_done
                 )
-                add_wait()
+                request._outstanding += 1  # inlined add_wait()
                 served_by.add(hdd.name)
                 hdd.submit(op)
 
@@ -444,13 +443,13 @@ class CacheController:
         self.stats.evict_flushes += 1
         self.ssd.submit(
             DeviceOp(
-                lba, 1, False, OpTag.EVICT, None, False, False, self._evict_read_done
+                lba, 1, False, _EVICT, None, False, False, self._evict_read_done
             )
         )
 
     def _evict_read_done(self, op: DeviceOp) -> None:
         self.hdd.submit(
-            DeviceOp(op.lba, op.nblocks, True, OpTag.EVICT, None, False, False)
+            DeviceOp(op.lba, op.nblocks, True, _EVICT, None, False, False)
         )
 
     def flush_block(self, lba: int) -> bool:
@@ -466,7 +465,7 @@ class CacheController:
         self.stats.evict_flushes += 1
         self.ssd.submit(
             DeviceOp(
-                lba, 1, False, OpTag.EVICT, None, False, False, self._bg_flush_read_done
+                lba, 1, False, _EVICT, None, False, False, self._bg_flush_read_done
             )
         )
         return True
@@ -477,7 +476,7 @@ class CacheController:
                 op.lba,
                 op.nblocks,
                 True,
-                OpTag.EVICT,
+                _EVICT,
                 None,
                 False,
                 False,
@@ -564,9 +563,9 @@ class CacheController:
         dirty block's only valid copy lives on the SSD).  Evict reads are
         never redirectable.
         """
-        if op.tag is OpTag.WRITE or op.tag is OpTag.PROMOTE:
+        if op.tag is _WRITE or op.tag is _PROMOTE:
             return True
-        if op.tag is OpTag.READ:
+        if op.tag is _READ:
             for lba in range(op.lba, op.end_lba):
                 block = self.store.peek(lba)
                 if block is not None and block.dirty:
@@ -587,14 +586,14 @@ class CacheController:
           and the speculative metadata insertion undone.
         """
         allocator = self.allocator
-        if op.tag is OpTag.PROMOTE:
+        if op.tag is _PROMOTE:
             self.stats.promotes_cancelled += 1 + len(op.merged)
             for child in (op, *op.merged):
                 for lba in range(child.lba, child.end_lba):
                     if self.store.invalidate(lba) and allocator is not None:
                         allocator.note_remove(lba)
             return
-        if op.tag is OpTag.WRITE:
+        if op.tag is _WRITE:
             self.stats.writes_bypassed += 1 + len(op.merged)
             for child in (op, *op.merged):
                 for lba in range(child.lba, child.end_lba):
@@ -609,7 +608,7 @@ class CacheController:
                 for child in (op, *op.merged):
                     self._sync_done(child)
                 return
-        elif op.tag is OpTag.READ:
+        elif op.tag is _READ:
             self.stats.reads_bypassed += 1 + len(op.merged)
             for child in (op, *op.merged):
                 if child.request is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from repro.cache.block import CacheBlock
 from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
@@ -18,9 +18,13 @@ from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
 __all__ = ["CacheStore", "StoreStats", "EvictionInfo"]
 
 
-@dataclass(frozen=True)
-class EvictionInfo:
-    """Record of a block evicted to make room."""
+class EvictionInfo(NamedTuple):
+    """Record of a block evicted to make room.
+
+    A named tuple, not a frozen dataclass: one is built per eviction,
+    and a frozen dataclass's ``__init__`` pays ``object.__setattr__`` for
+    each field.
+    """
 
     lba: int
     was_dirty: bool
@@ -181,7 +185,7 @@ class CacheStore:
             self.stats.evictions += 1
             eviction = EvictionInfo(victim_lba, victim.dirty)
 
-        block = CacheBlock(lba, now, dirty=dirty)
+        block = CacheBlock(lba, now, dirty)  # positional: cheaper than a keyword
         cset.entries[lba] = block
         cset.policy.on_insert(cset.entries, block)
         self._occupied += 1

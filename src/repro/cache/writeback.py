@@ -12,6 +12,7 @@ makes write-intensive bursts (Group 3) show a large W+E queue mix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cache.controller import CacheController
@@ -40,6 +41,9 @@ class WritebackConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
+        for name in ("interval_us", "low_watermark", "high_watermark"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.interval_us <= 0:
             raise ValueError("interval_us must be positive")
         if not (0.0 <= self.low_watermark <= self.high_watermark <= 1.0):

@@ -13,6 +13,7 @@ presets are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.cache.writeback import WritebackConfig
@@ -115,6 +116,9 @@ class SystemConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
+        for name in ("interval_us", "rate_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.interval_us <= 0:
             raise ValueError("interval_us must be positive")
         if self.cache_blocks <= 0:

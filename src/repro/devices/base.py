@@ -83,6 +83,8 @@ class StorageDevice:
         self._lat_read = model.nominal_read_us
         self._lat_write = model.nominal_write_us
         self._paused_until = 0.0
+        # Bound once: every started op schedules its completion with it.
+        self._complete_cb = self._complete
         # Observers are registered per transition so the hot loops pay
         # one positional call per record, no transition-string dispatch.
         self._q_observers: list[Callable[[DeviceOp], None]] = []
@@ -192,7 +194,7 @@ class StorageDevice:
         if observers:
             for fn in observers:
                 fn(op)
-        self.sim.schedule(service, self._complete, op, service)
+        self.sim.schedule(service, self._complete_cb, op, service)
 
     def _complete(self, op: DeviceOp, service: float) -> None:
         now = self.sim.now

@@ -90,30 +90,6 @@ class SsdModel:
         self._jitter_buf: list[float] = []
         self._jitter_pos = 0
 
-    # -- write-pressure tracking ---------------------------------------
-    def _decay_bucket(self, now: float) -> None:
-        dt = now - self._bucket_time
-        if dt > 0:
-            # An idle bucket stays exactly 0.0 under decay; skipping the
-            # exp keeps read-heavy phases off the transcendental path.
-            # (np.exp, not math.exp: the two differ in the last ulp for
-            # some inputs, and run reproducibility pins the np stream.)
-            if self._bucket != 0.0:
-                self._bucket *= float(np.exp(-dt / self.config.gc_decay_us))
-            self._bucket_time = now
-
-    @property
-    def write_pressure(self) -> float:
-        """Current bucket level relative to the GC knee (0 = idle)."""
-        return self._bucket / self.config.gc_knee_blocks
-
-    def current_write_cost(self, now: float) -> float:
-        """Per-4KiB write cost (µs) at the current write pressure."""
-        self._decay_bucket(now)
-        cfg = self.config
-        level = min(self._bucket / cfg.gc_knee_blocks, 1.0)
-        return cfg.write_us + level * (cfg.cliff_write_us - cfg.write_us)
-
     # -- ServiceModel protocol ------------------------------------------
     @property
     def nominal_read_us(self) -> float:
@@ -127,9 +103,12 @@ class SsdModel:
 
     def service_time(self, op: DeviceOp, now: float) -> float:
         """Price one operation and update write-pressure state."""
-        # Once per dispatched op: the bucket decay (same arithmetic as
-        # _decay_bucket, np.exp pinned) and the cliff interpolation are
-        # inlined rather than paying two method calls.
+        # Once per dispatched op.  First the leaky bucket decays to
+        # ``now``.  An idle bucket stays exactly 0.0 under decay, so the
+        # exp is skipped and read-heavy phases stay off the
+        # transcendental path.  (np.exp, not math.exp: the two differ in
+        # the last ulp for some inputs, and run reproducibility pins the
+        # np stream.)
         cfg = self.config
         nblocks = op.nblocks
         bucket = self._bucket
@@ -139,12 +118,15 @@ class SsdModel:
                 bucket = self._bucket = bucket * float(np.exp(-dt / cfg.gc_decay_us))
             self._bucket_time = now
         if op.is_write:
+            # The cliff: the bucket level, relative to the knee, sets
+            # the write cost between write_us and cliff_write_us.
             level = min(bucket / cfg.gc_knee_blocks, 1.0)
-            base = cfg.write_us + level * (cfg.cliff_write_us - cfg.write_us)
+            total = cfg.write_us + level * (cfg.cliff_write_us - cfg.write_us)
             self._bucket = bucket + nblocks
         else:
-            base = cfg.read_us
-        total = base + cfg.per_block_us * max(nblocks - 1, 0)
+            total = cfg.read_us
+        if nblocks > 1:
+            total += cfg.per_block_us * (nblocks - 1)
         rng = self.rng
         if rng is not None and cfg.jitter_sigma > 0:
             pos = self._jitter_pos

@@ -369,21 +369,39 @@ class HotPathRule(Rule):
     code = "SL007"
     title = "hot-path functions stay allocation-lean"
     explanation = (
-        "The per-event dispatch chain (Simulator.run/schedule,\n"
+        "The per-request and per-event chain (Simulator.run/schedule,\n"
+        "Workload._arrive/_deliver/on_request_complete,\n"
+        "HotColdPattern.sample, RawDraws.random/integers/exponential,\n"
+        "CacheController.submit/_do_read/_do_write/_sync_done,\n"
         "CacheStore.lookup, StorageDevice.submit/_dispatch/_start/\n"
-        "_complete, SsdModel/HddModel.service_time,\n"
-        "CacheController._do_read/_do_write/_sync_done, Workload._arrive)\n"
-        "runs millions of times per scenario, so every allocation in it\n"
-        "is multiplied; _start and each service_time run once per device\n"
-        "op.  Inside these functions: no lambdas and no nested defs —\n"
-        "schedule a bound method with positional arguments instead of a\n"
-        "closure."
+        "_complete, SsdModel/HddModel.service_time, _WindowAccum.record,\n"
+        "ExperimentSystem._on_complete) runs millions of times per\n"
+        "scenario, so every allocation in it is multiplied; _start and\n"
+        "each service_time run once per device op.  Inside these\n"
+        "functions: no lambdas and no nested defs — schedule a bound\n"
+        "method with positional arguments instead of a closure.  And no\n"
+        "member lookup through the package's enums (OpTag.READ,\n"
+        "WritePolicy.WB, WorkloadGroup.MIXED_RW): on Python 3.11 each one\n"
+        "goes through the enum metaclass's __getattr__, several times the\n"
+        "cost of a global read, so bind the member to a module-level\n"
+        "alias (as cache/controller.py does for the four queue tags)."
     )
 
     _HOT: frozenset[tuple[str, str]] = frozenset(
         {
             ("repro.sim.engine", "Simulator.run"),
             ("repro.sim.engine", "Simulator.schedule"),
+            ("repro.sim.fastdraw", "RawDraws.random"),
+            ("repro.sim.fastdraw", "RawDraws.integers"),
+            ("repro.sim.fastdraw", "RawDraws.exponential"),
+            ("repro.workloads.base", "Workload._arrive"),
+            ("repro.workloads.base", "Workload._deliver"),
+            ("repro.workloads.base", "Workload.on_request_complete"),
+            ("repro.workloads.access_patterns", "HotColdPattern.sample"),
+            ("repro.cache.controller", "CacheController.submit"),
+            ("repro.cache.controller", "CacheController._do_read"),
+            ("repro.cache.controller", "CacheController._do_write"),
+            ("repro.cache.controller", "CacheController._sync_done"),
             ("repro.cache.store", "CacheStore.lookup"),
             ("repro.devices.base", "StorageDevice.submit"),
             ("repro.devices.base", "StorageDevice._dispatch"),
@@ -391,12 +409,13 @@ class HotPathRule(Rule):
             ("repro.devices.base", "StorageDevice._complete"),
             ("repro.devices.ssd", "SsdModel.service_time"),
             ("repro.devices.hdd", "HddModel.service_time"),
-            ("repro.cache.controller", "CacheController._do_read"),
-            ("repro.cache.controller", "CacheController._do_write"),
-            ("repro.cache.controller", "CacheController._sync_done"),
-            ("repro.workloads.base", "Workload._arrive"),
+            ("repro.trace.iostat", "_WindowAccum.record"),
+            ("repro.experiments.system", "ExperimentSystem._on_complete"),
         }
     )
+
+    #: The package's enum classes, whose member lookups are flagged.
+    _ENUMS = frozenset({"OpTag", "WritePolicy", "WorkloadGroup"})
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         hot_names = {
@@ -427,6 +446,17 @@ class HotPathRule(Rule):
                         ctx,
                         node,
                         "nested function defined in a hot-path function",
+                    )
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in self._ENUMS
+                ):
+                    yield self.violation(
+                        ctx,
+                        node,
+                        f"enum member lookup {node.value.id}.{node.attr} in a "
+                        "hot-path function; use a module-level alias",
                     )
 
 
@@ -533,8 +563,9 @@ class TelemetryGuardRule(Rule):
         "hooks ride existing observer lists and interval ticks, never the\n"
         "per-event dispatch chain.  If a telemetry emit (a method call on\n"
         "a telemetry/hub/spans/metrics receiver) does land in one of\n"
-        "SL007's hot-path modules, it must sit inside an if-guard that\n"
-        "tests the telemetry object or an enabled flag — an unguarded\n"
+        "SL007's hot-path modules, it must sit inside an if-guard, or in\n"
+        "the true branch of a conditional expression, whose test names\n"
+        "the telemetry object or an enabled flag — an unguarded\n"
         "emit charges every run, telemetry on or off, and silently taxes\n"
         "the 130k+ events/s budget the BENCH suite gates."
     )
@@ -590,7 +621,7 @@ class TelemetryGuardRule(Rule):
     ) -> Iterator[Violation]:
         if guarded:
             return
-        for sub in ast.walk(node):
+        for sub in self._unguarded_nodes(node):
             if (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
@@ -603,6 +634,20 @@ class TelemetryGuardRule(Rule):
                     f"'.{sub.func.attr}(...)' in a hot-path module; wrap it "
                     "in an enabled-guard (e.g. `if telemetry is not None:`)",
                 )
+
+    def _unguarded_nodes(self, node: ast.AST) -> Iterator[ast.AST]:
+        """``node`` and its descendants, less guarded conditional branches.
+
+        The true branch of ``a if guard else b`` runs only when the guard
+        holds, exactly like the body of ``if guard:``.
+        """
+        yield node
+        if isinstance(node, ast.IfExp) and self._is_guard(node.test):
+            children: Iterable[ast.AST] = (node.test, node.orelse)
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            yield from self._unguarded_nodes(child)
 
     def _is_telemetry_receiver(self, node: ast.expr) -> bool:
         """Whether any identifier in the receiver chain is telemetry-ish."""

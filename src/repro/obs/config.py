@@ -12,6 +12,7 @@ the finer-grained ``metrics`` / ``trace`` / ``heartbeat_s`` switches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["ObsConfig"]
@@ -45,6 +46,8 @@ class ObsConfig:
         """Raise ``ValueError`` on inconsistent parameters."""
         if self.trace_capacity < 1:
             raise ValueError("obs.trace_capacity must be >= 1")
+        if not math.isfinite(self.heartbeat_s):
+            raise ValueError("obs.heartbeat_s must be finite")
         if self.heartbeat_s < 0:
             raise ValueError("obs.heartbeat_s must be non-negative")
         if self.enabled and not (self.metrics or self.trace):

@@ -10,6 +10,7 @@ historical import paths keep working.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,6 +55,14 @@ class SibConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
+        for name in (
+            "check_interval_us",
+            "scan_overhead_us_per_op",
+            "margin",
+            "min_cache_qtime_us",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.check_interval_us <= 0:
             raise ValueError("check_interval_us must be positive")
         if self.scan_overhead_us_per_op < 0:
@@ -109,6 +118,9 @@ class LbicaConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
+        for name in ("decision_interval_us", "margin", "min_cache_qtime_us"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.decision_interval_us <= 0:
             raise ValueError("decision_interval_us must be positive")
         if self.revert_after_quiet is not None and self.revert_after_quiet <= 0:
@@ -150,8 +162,10 @@ class PartitionConfig:
             raise ValueError(
                 f"partition variant must be one of {_VARIANTS}, got {self.variant!r}"
             )
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("partition weights must be positive")
+        if not math.isfinite(self.report_interval_us):
+            raise ValueError("report_interval_us must be finite")
+        if not all(0 < w < math.inf for w in self.weights):
+            raise ValueError("partition weights must be positive and finite")
         if self.min_share_blocks < 1:
             raise ValueError("min_share_blocks must be >= 1")
         if self.report_interval_us < 0:
@@ -186,6 +200,8 @@ class DynShareConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
+        if not math.isfinite(self.decision_interval_us):
+            raise ValueError("decision_interval_us must be finite")
         if self.decision_interval_us <= 0:
             raise ValueError("decision_interval_us must be positive")
         if self.min_share_blocks < 1:
@@ -221,6 +237,8 @@ class SloStealConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
+        if not math.isfinite(self.decision_interval_us):
+            raise ValueError("decision_interval_us must be finite")
         if self.decision_interval_us <= 0:
             raise ValueError("decision_interval_us must be positive")
         if self.min_share_blocks < 1:

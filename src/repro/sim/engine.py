@@ -81,10 +81,13 @@ class Simulator:
             *args: Positional arguments for the callback.
 
         Raises:
-            SimulationError: If ``delay`` is negative.
+            SimulationError: If ``delay`` is negative or NaN.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} µs into the past")
+        # Written so NaN fails too: a NaN time on the heap breaks its order.
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule with delay {delay} µs (must be >= 0)"
+            )
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (self.now + delay, seq, fn, args))
@@ -93,9 +96,9 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute time ``time`` (µs).
 
         Raises:
-            SimulationError: If ``time`` is before the current time.
+            SimulationError: If ``time`` is before the current time, or NaN.
         """
-        if time < self.now:
+        if not time >= self.now:  # NaN fails too
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self.now})"
             )

@@ -16,9 +16,16 @@ the same transformations numpy applies to them:
 - ``integers(low, high)`` — Lemire rejection sampling; spans up to
   ``2**32`` consume buffered 32-bit half-words (low half first, high
   half carried), larger spans consume whole words.
-- ``standard_exponential()`` / ``exponential(scale)`` — the 256-bucket
-  ziggurat, with numpy's exact ``ke``/``we``/``fe`` tables embedded
-  below and the ``log1p`` tail branch.
+- ``exponential(scale)`` — ``scale`` times numpy's 256-bucket
+  ziggurat draw, with its exact ``ke``/``we``/``fe`` tables embedded
+  below and the ``log1p`` tail branch.  ``exponential(1.0)`` is
+  ``Generator.standard_exponential()``, since ``1.0 * x == x``.
+
+The arrival loop makes three or four draws per request, so each
+method fetches its word inline: ``random()``, ``exponential()`` and the
+first half-word of a 32-bit ``integers()`` draw make no helper call.
+Only ``integers()``'s rejection retries and spans past ``2**32`` call
+``_next32`` / ``_next64``.
 
 Every decode is bit for bit the draw the ``Generator`` would have made,
 so a workload holds one :class:`RawDraws` for its whole run in place of
@@ -259,7 +266,22 @@ class RawDraws:
         if span <= _SPAN32:
             # 32-bit Lemire with rejection (also taken for power-of-two
             # spans: numpy's masked path is reserved for other dtypes).
-            m = self._next32() * span
+            # The first half-word is _next32 inlined; the rare rejection
+            # loop below calls it.
+            if self.has32:
+                self.has32 = False
+                m = self.carry32 * span
+            else:
+                pos = self._pos
+                if pos == self._len:
+                    self._buf = self._bg.random_raw(self._block).tolist()
+                    self._len = len(self._buf)
+                    pos = 0
+                self._pos = pos + 1
+                word = self._buf[pos]
+                self.has32 = True
+                self.carry32 = word >> 32
+                m = (word & _M32) * span
             leftover = m & _M32
             if leftover < span:
                 threshold = (_M32 - (span - 1)) % span
@@ -276,8 +298,8 @@ class RawDraws:
                 leftover = m & _M64
         return low + (m >> 64)
 
-    def standard_exponential(self) -> float:
-        """``Generator.standard_exponential()``: the ziggurat method."""
+    def exponential(self, scale: float) -> float:
+        """``Generator.exponential(scale)``: the ziggurat method, scaled."""
         ke = _KE
         we = _WE
         while True:
@@ -293,15 +315,11 @@ class RawDraws:
             ri >>= 8
             x = ri * we[idx]
             if ri < ke[idx]:
-                return x  # ~98.9% of draws exit here
+                return scale * x  # ~98.9% of draws exit here
             if idx == 0:
-                return _ZIG_R - math.log1p(-self.random())
+                return scale * (_ZIG_R - math.log1p(-self.random()))
             if (_FE[idx - 1] - _FE[idx]) * self.random() + _FE[idx] < math.exp(-x):
-                return x
-
-    def exponential(self, scale: float) -> float:
-        """``Generator.exponential(scale)``."""
-        return scale * self.standard_exponential()
+                return scale * x
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +353,7 @@ def _run_verification() -> bool:
         # take the wedge test, so a few thousand draws exercise it).  One
         # sized call yields the same values as that many scalar calls.
         for expected in ref.standard_exponential(4_000).tolist():
-            if expected != raw.standard_exponential():
+            if expected != raw.exponential(1.0):
                 return False
     return True
 

@@ -76,19 +76,25 @@ class IntervalSample:
 
 @dataclass(slots=True)
 class _WindowAccum:
-    """Per-interval request accumulator."""
+    """Per-interval request accumulator.
 
-    completed: int = 0
+    One :meth:`record` per completed request, so it keeps the fewest
+    counters that give the sample: the window's ``completed`` is
+    ``reads + writes``, computed at the tick, and each tenant's
+    ``[completed, latency_sum]`` sits in one list slot under
+    ``tenants``, so a completion makes one dict probe.
+    """
+
     reads: int = 0
     writes: int = 0
     bypassed: int = 0
     total_latency: float = 0.0
     max_latency: float = 0.0
-    tenant_completed: dict[int, int] = field(default_factory=dict)
-    tenant_latency: dict[int, float] = field(default_factory=dict)
+    #: ``tenant_id -> [completed, latency_sum]`` within the window, in
+    #: first-completion order.
+    tenants: dict[int, list] = field(default_factory=dict)
 
     def record(self, request: Request) -> None:
-        self.completed += 1
         if request.is_write:
             self.writes += 1
         else:
@@ -99,9 +105,12 @@ class _WindowAccum:
         self.total_latency += lat
         if lat > self.max_latency:
             self.max_latency = lat
-        tid = request.tenant_id
-        self.tenant_completed[tid] = self.tenant_completed.get(tid, 0) + 1
-        self.tenant_latency[tid] = self.tenant_latency.get(tid, 0.0) + lat
+        slot = self.tenants.get(request.tenant_id)
+        if slot is None:
+            self.tenants[request.tenant_id] = [1, lat]
+        else:
+            slot[0] += 1
+            slot[1] += lat
 
 
 class IostatMonitor:
@@ -183,6 +192,8 @@ class IostatMonitor:
         prev_ssd_busy, prev_hdd_busy = self._prev_busy
         self._prev_busy = (ssd_busy, hdd_busy)
         acc = self._accum
+        completed = acc.reads + acc.writes
+        tenants = acc.tenants
         sample = IntervalSample(
             index=index,
             t_start=now - self.interval_us,
@@ -195,29 +206,24 @@ class IostatMonitor:
             hdd_latency=self.hdd.avg_latency,
             cache_qtime=eq1_queue_time(ssd_max, self.ssd.avg_latency),
             disk_qtime=eq1_queue_time(hdd_max, self.hdd.avg_latency),
-            completed=acc.completed,
+            completed=completed,
             reads=acc.reads,
             writes=acc.writes,
             bypassed=acc.bypassed,
-            avg_latency=acc.total_latency / acc.completed if acc.completed else 0.0,
+            avg_latency=acc.total_latency / completed if completed else 0.0,
             max_latency=acc.max_latency,
             ssd_util=(ssd_busy - prev_ssd_busy) / self.interval_us,
             hdd_util=(hdd_busy - prev_hdd_busy) / self.interval_us,
-            tenant_completed=dict(acc.tenant_completed),
-            tenant_avg_latency={
-                tid: acc.tenant_latency[tid] / n
-                for tid, n in acc.tenant_completed.items()
-                if n
-            },
+            tenant_completed={tid: n for tid, (n, _) in tenants.items()},
+            tenant_avg_latency={tid: lat / n for tid, (n, lat) in tenants.items()},
         )
         self.samples.append(sample)
         # Reset the (persistent) accumulator in place — its bound
         # ``record`` stays registered as the completion hook.
-        acc.completed = acc.reads = acc.writes = acc.bypassed = 0
+        acc.reads = acc.writes = acc.bypassed = 0
         acc.total_latency = 0.0
         acc.max_latency = 0.0
-        acc.tenant_completed = {}
-        acc.tenant_latency = {}
+        acc.tenants = {}
         self.ssd.queue.reset_window(now)
         self.hdd.queue.reset_window(now)
         if self._on_sample is not None:

@@ -64,10 +64,8 @@ def _decodable(pattern: AddressPattern) -> bool:
     draws the decoder does not know.
     """
     kind = type(pattern)
-    if kind is UniformPattern or kind is ZipfPattern or kind is SequentialPattern:
+    if kind in (UniformPattern, ZipfPattern, SequentialPattern, HotColdPattern):
         return True
-    if kind is HotColdPattern:
-        return type(pattern.hot) is UniformPattern and type(pattern.cold) is UniformPattern
     if kind is MixPattern:
         return all(_decodable(p) for p in pattern._patterns)
     return False
@@ -104,6 +102,8 @@ class PhaseSpec:
         """Raise ``ValueError`` on inconsistent parameters."""
         if self.n_intervals <= 0:
             raise ValueError(f"phase {self.label!r}: n_intervals must be positive")
+        if not math.isfinite(self.rate_iops):
+            raise ValueError(f"phase {self.label!r}: rate_iops must be finite")
         if self.rate_iops <= 0:
             raise ValueError(f"phase {self.label!r}: rate_iops must be positive")
         if not 0.0 <= self.write_frac <= 1.0:
@@ -189,6 +189,8 @@ class Workload:
     ) -> None:
         if not phases:
             raise ValueError("at least one phase required")
+        if not math.isfinite(interval_us):
+            raise ValueError("interval_us must be finite")
         if interval_us <= 0:
             raise ValueError("interval_us must be positive")
         if max_outstanding <= 0:
@@ -213,6 +215,8 @@ class Workload:
         self._throttled = False
         self._sim = None
         self._submit: Optional[Callable[[Request], None]] = None
+        # Bound once: every arrival re-arms itself with this callback.
+        self._arrive_cb = self._arrive
         #: The draw source bind picked (see the module docstring).
         self._draws: Any = None
         #: Per phase, what _arrive reads on every arrival: ``(write_frac,
@@ -304,7 +308,7 @@ class Workload:
             for phase in self.phases
         )
         self._draws = RawDraws(bit_gen) if decodable and replication_verified() else rng
-        sim.schedule(self._next_gap(), self._arrive)
+        sim.schedule(self._next_gap(), self._arrive_cb)
 
     def on_request_complete(self, request: Request) -> None:
         """Backpressure hook: wire to the cache controller's completion."""
@@ -312,7 +316,7 @@ class Workload:
         if self._throttled and self._outstanding < self.max_outstanding:
             self._throttled = False
             if self._sim.now < self.duration_us:
-                self._sim.schedule(self._next_gap(), self._arrive)
+                self._sim.schedule(self._next_gap(), self._arrive_cb)
 
     # ------------------------------------------------------------------
     def _next_gap(self) -> float:
@@ -348,7 +352,7 @@ class Workload:
         if nblocks is None:
             nblocks = self._draw_size(self.phases[idx])
         self._deliver(Request(now, lba, nblocks, is_write))
-        sim.schedule(draws.exponential(mean_gap), self._arrive)
+        sim.schedule(draws.exponential(mean_gap), self._arrive_cb)
 
     def _deliver(self, request: Request) -> None:
         """Count a generated request and submit it."""

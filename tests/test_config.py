@@ -4,7 +4,39 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cache.writeback import WritebackConfig
 from repro.config import SystemConfig, paper_config, quick_config
+from repro.obs.config import ObsConfig
+from repro.schemes.configs import (
+    DynShareConfig,
+    LbicaConfig,
+    PartitionConfig,
+    SibConfig,
+    SloStealConfig,
+)
+
+#: Every float field of the run-parameter configs (the device models'
+#: are checked in tests/test_devices.py).
+FLOAT_FIELDS = [
+    (SystemConfig, "interval_us"),
+    (SystemConfig, "rate_scale"),
+    (WritebackConfig, "interval_us"),
+    (WritebackConfig, "low_watermark"),
+    (WritebackConfig, "high_watermark"),
+    (LbicaConfig, "decision_interval_us"),
+    (LbicaConfig, "margin"),
+    (LbicaConfig, "min_cache_qtime_us"),
+    (SibConfig, "check_interval_us"),
+    (SibConfig, "scan_overhead_us_per_op"),
+    (SibConfig, "margin"),
+    (SibConfig, "min_cache_qtime_us"),
+    (DynShareConfig, "decision_interval_us"),
+    (DynShareConfig, "ewma"),
+    (PartitionConfig, "report_interval_us"),
+    (SloStealConfig, "decision_interval_us"),
+    (SloStealConfig, "donor_headroom"),
+    (ObsConfig, "heartbeat_s"),
+]
 
 
 class TestSystemConfig:
@@ -30,6 +62,19 @@ class TestSystemConfig:
             SystemConfig(rate_scale=0).validate()
         with pytest.raises(ValueError):
             SystemConfig(drain_intervals=-1).validate()
+
+    @pytest.mark.parametrize(
+        "cls,name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_field_rejected(self, cls, name, value):
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value}).validate()
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_partition_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PartitionConfig(variant="proportional", weights=[1.0, weight]).validate()
 
     def test_scaled_copies(self):
         cfg = paper_config()

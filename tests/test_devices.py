@@ -42,8 +42,10 @@ class TestSsdModel:
         m = SsdModel(cfg)
         for _ in range(500):
             m.service_time(write_op(), 0.0)
-        hot = m.current_write_cost(0.0)
-        cooled = m.current_write_cost(cfg.gc_decay_us * 10)
+        # Price one write at the burst's instant and one ten decay
+        # constants later: the bucket drains between them.
+        hot = m.service_time(write_op(), 0.0)
+        cooled = m.service_time(write_op(), cfg.gc_decay_us * 10)
         assert cooled < hot
         assert cooled == pytest.approx(cfg.write_us, rel=0.03)
 

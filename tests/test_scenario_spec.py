@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,51 @@ class TestValidation:
     def test_rejects_bad_device_model_values(self, system):
         with pytest.raises(ScenarioError, match="scenario 'x'"):
             ScenarioSpec.from_dict({"name": "x", "system": system})
+
+    #: Scenario files with a non-finite run parameter, as JSON text
+    #: (Python's json reads NaN, and 1e400 overflows to inf).  The first
+    #: used to hang ``python -m repro.scenario``; the NaN rates ran and
+    #: reported OK.
+    NON_FINITE_FILES = {
+        "nan_interval": '{"name": "x", "system": {"interval_us": NaN}}',
+        "inf_interval": '{"name": "x", "system": {"interval_us": 1e400}}',
+        "nan_rate_scale": '{"name": "x", "system": {"rate_scale": NaN}}',
+        "nan_writeback_interval": (
+            '{"name": "x", "system": {"writeback": {"interval_us": NaN}}}'
+        ),
+        "inf_lbica_margin": '{"name": "x", "system": {"lbica": {"margin": 1e400}}}',
+        "nan_sib_margin": '{"name": "x", "system": {"sib": {"margin": NaN}}}',
+        "nan_phase_rate": (
+            '{"name": "x", "workload": {"name": "w", "phases": [{"label": "p", '
+            '"n_intervals": 4, "rate_iops": NaN, "write_frac": 0.1, '
+            '"read_pattern": {"kind": "uniform", "start": 0, "span": 64}}]}}'
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_FILES))
+    def test_rejects_non_finite_run_parameters(self, name):
+        payload = json.loads(self.NON_FINITE_FILES[name])
+        with pytest.raises(ValueError, match="must be finite"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_smoke_cli_fails_fast_on_nan_interval(self, tmp_path):
+        path = tmp_path / "nan_interval.json"
+        path.write_text(self.NON_FINITE_FILES["nan_interval"])
+        env = dict(os.environ)
+        src = str(_REPO / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        # The timeout is the regression check: the run used to hang.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.scenario", str(path), "--horizon", "3"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "interval_us must be finite" in proc.stdout + proc.stderr
 
     def test_rejects_malformed_inline_workload(self):
         with pytest.raises(ValueError):

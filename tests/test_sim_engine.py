@@ -48,6 +48,19 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # A NaN entry compares false both ways and breaks the heap order.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_zero_delay_allowed(self):
         sim = Simulator()
         fired = []

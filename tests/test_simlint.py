@@ -41,6 +41,7 @@ RULE_FIXTURES = [
     ("sl005", "repro.schemes.fixture", "SL005"),
     ("sl006", "repro.experiments.fixture", "SL006"),
     ("sl007", "repro.sim.engine", "SL007"),
+    ("sl007_enum", "repro.cache.controller", "SL007"),
     ("sl008", "repro.campaign.fixture", "SL008"),
     ("sl009", "benchmarks.suite", "SL009"),
     ("sl010", "repro.sim.engine", "SL010"),
@@ -98,6 +99,33 @@ def test_sl007_only_fires_in_hot_functions():
     # the discarded .schedule(...) result is not a violation: schedule
     # returns nothing
     assert len(violations) == 2
+
+
+def test_sl007_flags_enum_member_lookups_in_hot_functions():
+    bad = (FIXTURES / "sl007_enum_bad.py").read_text()
+    violations = lint_source(bad, module="repro.cache.controller")
+    assert sorted(v.message.split()[3] for v in violations) == [
+        "OpTag.READ",
+        "OpTag.WRITE",
+        "WritePolicy.WT",
+    ]
+    # the same methods outside a hot-path module are not checked
+    assert lint_source(bad, module="repro.cache.fixture") == []
+
+
+def test_sl010_guarded_conditional_expression():
+    # The true branch of `emit() if guard else default` runs only when
+    # the guard holds; the false branch and an unrelated test do not
+    # guard anything.
+    src = (
+        "class ExperimentSystem:\n"
+        "    def run(self):\n"
+        "        a = self.telemetry.result_section() if self.telemetry is not None else {}\n"
+        "        b = {} if self.telemetry is None else self.telemetry.result_section()\n"
+        "        c = self.telemetry.result_section() if self.ready else {}\n"
+    )
+    violations = lint_source(src, module="repro.experiments.system")
+    assert [(v.code, v.line) for v in violations] == [("SL010", 4), ("SL010", 5)]
 
 
 def test_sl007_hot_entries_name_defined_methods():

@@ -149,6 +149,60 @@ class TestIostatMonitor:
         assert monitor.samples[0].completed == 1
         assert monitor.samples[1].completed == 0
 
+    def test_tenant_windows_over_two_ticks(self, sim, ssd, hdd):
+        # Two tenants complete requests in each of two windows; the third
+        # window is idle.  Entries: (completion time, tenant, is_write,
+        # latency, bypassed).
+        script = [
+            [
+                (10.0, 0, False, 0.1, False),
+                (20.0, 1, True, 7.5, False),
+                (30.0, 0, False, 0.2, True),
+                (40.0, 0, True, 0.3, False),
+                (50.0, 1, False, 3.3, False),
+            ],
+            [
+                (110.0, 1, True, 0.7, False),
+                (120.0, 0, False, 1.1, False),
+                (130.0, 1, True, 0.1, True),
+            ],
+            [],
+        ]
+        monitor = IostatMonitor(sim, ssd, hdd, interval_us=100.0)
+        monitor.start()
+        windows = []
+        for entries in script:
+            reqs = []
+            for t, tenant, is_write, lat, bypassed in entries:
+                req = Request(t - lat, 0, 1, is_write, tenant)
+                req.complete_time = t
+                req.bypassed = bypassed
+                sim.schedule_at(t, monitor.record_completion, req)
+                reqs.append(req)
+            windows.append(reqs)
+        sim.run(until=300.0)
+        assert len(monitor.samples) == 3
+        for sample, reqs in zip(monitor.samples, windows):
+            assert sample.completed == sample.reads + sample.writes == len(reqs)
+            assert sample.writes == sum(r.is_write for r in reqs)
+            assert sample.bypassed == sum(r.bypassed for r in reqs)
+            counts: dict[int, int] = {}
+            sums: dict[int, float] = {}
+            for r in reqs:
+                tid = r.tenant_id
+                counts[tid] = counts.get(tid, 0) + 1
+                sums[tid] = sums.get(tid, 0.0) + (r.complete_time - r.arrival)
+            assert sample.tenant_completed == counts
+            assert sample.tenant_avg_latency == {
+                tid: sums[tid] / n for tid, n in counts.items()
+            }
+        assert monitor.samples[0].tenant_completed == {0: 3, 1: 2}
+        assert monitor.samples[1].tenant_completed == {1: 2, 0: 1}
+        idle = monitor.samples[2]
+        assert idle.completed == 0
+        assert idle.tenant_completed == {}
+        assert idle.tenant_avg_latency == {}
+
     def test_bottleneck_flag(self, sim, ssd, hdd):
         monitor = IostatMonitor(sim, ssd, hdd, interval_us=100.0)
         monitor.start()

@@ -109,6 +109,11 @@ class TestPhaseSpec:
         with pytest.raises(ValueError):
             self._phase(write_frac=1.5).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, value):
+        with pytest.raises(ValueError, match="rate_iops must be finite"):
+            self._phase(rate_iops=value).validate()
+
     def test_write_pattern_defaults_to_read(self):
         p = self._phase()
         assert p.write_pattern is p.pattern_read
@@ -133,6 +138,12 @@ class TestWorkloadEngine:
             ],
             interval_us=10_000.0,
         )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, value):
+        phase = PhaseSpec("p", 1, 100.0, 0.5, UniformPattern(0, 10))
+        with pytest.raises(ValueError, match="interval_us must be finite"):
+            Workload("t", [phase], interval_us=value)
 
     def test_duration_and_intervals(self):
         wl = self._one_phase(n_intervals=4)
