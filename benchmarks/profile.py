@@ -15,10 +15,10 @@ artifacts into ``--out`` (default ``benchmarks/profiles/``):
   stacks would be invented, not measured.
 - ``<scenario>.txt`` — the top-frames table that is also printed.
 
-The profiled wall clock is *not* comparable to ``benchmarks/suite.py``
-numbers — cProfile's tracing hooks inflate this simulator's run loop
-roughly 4×.  Use the suite for throughput claims and this harness to see
-where the time goes.
+The profiled wall clock is *not* comparable to ``perfbench/`` numbers —
+cProfile's tracing hooks inflate this simulator's run loop roughly 4×.
+Use ``perfbench/`` for throughput claims and this harness to see where
+the time goes.
 
 This file is the repo's only sanctioned import site for ``cProfile`` /
 ``pstats`` (simlint SL009): profiling stays in the harness, never in
@@ -29,7 +29,6 @@ Usage::
     PYTHONPATH=src python benchmarks/profile.py fig4_single_vm --quick
     PYTHONPATH=src python benchmarks/profile.py consolidated3 \
         --sort cumtime --top 40 --out /tmp/profiles
-    PYTHONPATH=src python benchmarks/suite.py --quick --profile DIR
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 # Running `python benchmarks/profile.py` puts benchmarks/ first on
 # sys.path, where this file would shadow the stdlib `profile` module
 # that cProfile itself imports.  Drop that entry before importing
-# cProfile (suite.py loads this file under the name `bench_profile` via
-# importlib for the same reason).
+# cProfile.
 if sys.path and Path(sys.path[0] or ".").resolve() == _REPO_ROOT / "benchmarks":
     sys.path.pop(0)
 

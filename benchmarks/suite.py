@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Unified benchmark suite: canonical scenarios, one machine-readable file.
+"""Golden-fingerprint gate over the canonical scenarios.
 
-Every run emits ``BENCH_suite.json`` — wall-clock, simulated-IOs/sec,
-events processed, and peak RSS per scenario — so the performance
-trajectory of the simulator is comparable across commits.  The stats
-fingerprint embedded per scenario is deterministic (fixed seeds, no
-timing), which is what the golden files under ``benchmarks/golden/``
-pin: an optimization must reproduce the fingerprints bit-for-bit or the
-``--golden`` check (and the tier-1 golden test) fails.
+Runs each scenario with a fixed seed and records its deterministic
+stats fingerprint (no timing).  The golden files under
+``benchmarks/golden/`` pin those fingerprints: an optimization must
+reproduce them bit-for-bit or ``--golden`` (and the tier-1 golden
+tests) fail.  Timing lives in ``perfbench/``, the repository benchmark.
 
 Scenarios:
 
 - ``fig4_single_vm`` — the canonical single-VM run (TPC-C under LBICA,
-  the Fig. 4 configuration).  This is the scenario speedups are quoted
-  against.
+  the Fig. 4 configuration).
 - ``consolidated3`` — three VMs (TPC-C + mail + web) contending for one
   shared cache under LBICA.
 - ``bootstorm_neighbors`` — a VM boot storm landing beside a steady web
@@ -33,29 +30,23 @@ Scenarios:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/suite.py --quick
     PYTHONPATH=src python benchmarks/suite.py --quick \
         --golden benchmarks/golden/suite_quick.json       # CI gate
+    PYTHONPATH=src python benchmarks/suite.py \
+        --golden benchmarks/golden/suite_paper.json       # nightly gate
     PYTHONPATH=src python benchmarks/suite.py --quick \
-        --update-golden benchmarks/golden/suite_quick.json
-    PYTHONPATH=src python benchmarks/suite.py --quick \
-        --store results/store       # accumulate the BENCH trajectory
+        --out benchmarks/golden/suite_quick.json          # refresh
 
-Each document stamps provenance (repro ``__version__``, git commit when
-available, per-scenario store keys); ``--store`` additionally writes
-every scenario's artifact into a :class:`repro.store.RunStore` and
-appends the document to the store's ``bench_history.jsonl``, so
-benchmark runs accumulate across invocations instead of overwriting.
+``--out`` writes the run in the golden format, so refreshing a golden
+after a deliberate behaviour change is a plain ``--out`` onto it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
-import resource
 import sys
-import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -66,45 +57,16 @@ except ImportError:  # pragma: no cover - path bootstrap
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.config import SystemConfig, paper_config, quick_config
-from repro.experiments.runner import PAPER_WORKLOADS, run_grid, run_perf_counters
+from repro.experiments.runner import PAPER_WORKLOADS, run_grid
 from repro.experiments.system import SCHEMES
-from repro.scenario import get_scenario, stats_fingerprint  # noqa: F401 (re-export)
-from repro.store import RunKey, RunStore, provenance, stamped_artifact
+from repro.scenario import get_scenario, stats_fingerprint
 
-__all__ = ["SCENARIOS", "run_scenario", "run_suite", "stats_fingerprint", "main"]
-
-#: The scenario quoted in speedup claims (single VM, Fig. 4 shape).
-CANONICAL = "fig4_single_vm"
+__all__ = ["SCENARIOS", "run_scenario", "run_suite", "compare_goldens", "main"]
 
 
-def _peak_rss_kb() -> int:
-    """Process-wide peak RSS in KiB (monotone over the process lifetime)."""
-    self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(self_kb, child_kb)
-
-
-def _run_single(
-    scenario_name: str, config: SystemConfig, store: Optional[RunStore] = None
-) -> tuple[dict, dict, Optional[str]]:
-    """One registry scenario under the suite's config (timed).
-
-    With a store, the run is written through as a
-    :class:`~repro.store.RunArtifact` keyed by (scenario, the *injected*
-    config, schema version) — the same key a campaign over the same
-    scenario/config would hit — and the key's digest is returned for the
-    document's provenance block.
-    """
-    spec = get_scenario(scenario_name)
-    t0 = time.perf_counter()
-    result = spec.run(config=config)
-    wall = time.perf_counter() - t0
-    perf = {**run_perf_counters(result, wall), "peak_rss_kb": _peak_rss_kb()}
-    digest = RunKey.for_spec(spec, config=config).digest
-    if store is not None:
-        # provenance stamping is shared with ExperimentRunner._write_through
-        store.put(stamped_artifact(spec, result, config=config, perf=perf))
-    return perf, stats_fingerprint(result), digest
+def _run_single(scenario_name: str, config: SystemConfig, jobs: int) -> dict:
+    """One registry scenario under the suite's config."""
+    return stats_fingerprint(get_scenario(scenario_name).run(config=config))
 
 
 def _current_rss_kb() -> int:
@@ -127,16 +89,13 @@ def _current_rss_kb() -> int:
 _REPLAY_RSS_BUDGET_KB = 256 * 1024
 
 
-def _run_trace_replay(
-    config: SystemConfig, jobs: int, store: Optional[RunStore] = None
-) -> tuple[dict, dict, Optional[str]]:
+def _run_trace_replay(config: SystemConfig, jobs: int) -> dict:
     """Streaming replay of a synthetic production-scale trace.
 
     The trace never exists as a file or a list: ``synthetic_trace``
     yields records lazily and :class:`ReplayWorkload` pulls them through
-    the chunked scheduler, so this measures the replay engine itself —
-    record synthesis, chunk batching, and event dispatch.  The RSS
-    guard raises (failing the suite) if memory grows with trace length.
+    the chunked scheduler.  The RSS guard raises (failing the suite) if
+    memory grows with trace length.
     """
     from repro.sim.engine import Simulator
     from repro.trace.synth import synthetic_trace
@@ -156,10 +115,8 @@ def _run_trace_replay(
     def sink(request) -> None:
         submitted[0] += 1
 
-    t0 = time.perf_counter()
     workload.bind(sim, sink)
     sim.run()
-    wall = time.perf_counter() - t0
     rss_delta = max(0, _current_rss_kb() - rss_before)
     if rss_delta > _REPLAY_RSS_BUDGET_KB:
         raise RuntimeError(
@@ -168,19 +125,9 @@ def _run_trace_replay(
             f"— streaming replay must not materialize the trace"
         )
     wl_stats = workload.stats
-    perf = {
-        "wall_clock_s": round(wall, 4),
-        "events_processed": sim.events_processed,
-        "events_per_sec": round(sim.events_processed / wall) if wall else 0,
-        "completed_requests": submitted[0],
-        "simulated_ios_per_sec": round(submitted[0] / wall) if wall else 0,
-        "peak_rss_kb": _peak_rss_kb(),
-        "replay_rss_delta_kb": rss_delta,
-        "trace_records": n,
-    }
     # "scheme"/"completed" match the fingerprint shape the campaign
     # diff loader recognises, even though no cache scheme runs here.
-    stats = {
+    return {
         "scheme": "none",
         "completed": submitted[0],
         "generated": wl_stats.generated,
@@ -189,76 +136,37 @@ def _run_trace_replay(
         "finished": wl_stats.finished,
         "last_arrival_us": round(sim.now, 3),
     }
-    return perf, stats, None
 
 
-def _run_grid_fanout(
-    config: SystemConfig, jobs: int, store: Optional[RunStore] = None
-) -> tuple[dict, dict, Optional[str]]:
-    t0 = time.perf_counter()
+def _run_grid_fanout(config: SystemConfig, jobs: int) -> dict:
     grid = run_grid(PAPER_WORKLOADS, SCHEMES, config=config, max_workers=jobs)
-    wall = time.perf_counter() - t0
-    events = sum(r.events_processed for r in grid.values())
-    completed = sum(r.completed for r in grid.values())
-    perf = {
-        "wall_clock_s": round(wall, 4),
-        "events_processed": events,
-        "events_per_sec": round(events / wall) if wall else 0,
-        "completed_requests": completed,
-        "simulated_ios_per_sec": round(completed / wall) if wall else 0,
-        "peak_rss_kb": _peak_rss_kb(),
-        "max_workers": jobs,
-        "combinations": len(grid),
-    }
-    stats = {
-        f"{wl}/{sc}": stats_fingerprint(r) for (wl, sc), r in sorted(grid.items())
-    }
-    return perf, stats, None
+    return {f"{wl}/{sc}": stats_fingerprint(r) for (wl, sc), r in sorted(grid.items())}
 
 
-#: name -> factory(config, jobs, store) -> (perf dict, stats
-#: fingerprint, store-key digest or None).  The single-run entries are
-#: registered :class:`ScenarioSpec`s by the same name; ``grid_fanout``
-#: is the parallel (workload × scheme) grid (not individually keyed).
-SCENARIOS: dict[
-    str,
-    Callable[[SystemConfig, int, Optional[RunStore]], tuple[dict, dict, Optional[str]]],
-] = {
-    CANONICAL: lambda cfg, jobs, store=None: _run_single(CANONICAL, cfg, store),
-    "consolidated3": lambda cfg, jobs, store=None: _run_single(
-        "consolidated3", cfg, store
-    ),
-    "bootstorm_neighbors": lambda cfg, jobs, store=None: _run_single(
-        "bootstorm_neighbors", cfg, store
-    ),
-    "consolidated3_partition": lambda cfg, jobs, store=None: _run_single(
-        "consolidated3_partition", cfg, store
-    ),
-    "consolidated3_dynshare": lambda cfg, jobs, store=None: _run_single(
-        "consolidated3_dynshare", cfg, store
-    ),
+#: name -> factory(config, jobs) -> stats fingerprint.  The single-run
+#: entries are registered :class:`ScenarioSpec`s by the same name;
+#: ``grid_fanout`` is the parallel (workload × scheme) grid.
+SCENARIOS: dict[str, Callable[[SystemConfig, int], dict]] = {
+    **{
+        name: partial(_run_single, name)
+        for name in (
+            "fig4_single_vm",
+            "consolidated3",
+            "bootstorm_neighbors",
+            "consolidated3_partition",
+            "consolidated3_dynshare",
+        )
+    },
     "grid_fanout": _run_grid_fanout,
     "trace_replay_stream": _run_trace_replay,
 }
 
-#: Scenarios the ``--profile`` pass skips: ``grid_fanout`` does its work
-#: in child processes the profiler cannot see, and the replay benchmark
-#: is not a registered :class:`ScenarioSpec` (profile.py resolves names
-#: through the scenario registry).
-_UNPROFILED = frozenset({"grid_fanout", "trace_replay_stream"})
 
-
-def run_scenario(
-    name: str,
-    config: SystemConfig,
-    jobs: int = 2,
-    store: Optional[RunStore] = None,
-) -> tuple[dict, dict]:
-    """Run one named scenario; returns ``(perf, stats_fingerprint)``."""
+def run_scenario(name: str, config: SystemConfig, jobs: int = 2) -> dict:
+    """Run one named scenario; returns its stats fingerprint."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    perf, stats, _ = SCENARIOS[name](config, jobs, store)
-    return perf, stats
+    return SCENARIOS[name](config, jobs)
 
 
 def run_suite(
@@ -267,89 +175,40 @@ def run_suite(
     jobs: int = 2,
     scenarios: Optional[Sequence[str]] = None,
     verbose: bool = True,
-    store: Optional[RunStore] = None,
 ) -> dict:
-    """Run the suite and return the ``BENCH_suite.json`` document.
-
-    Every document carries a ``provenance`` block (repro version, git
-    commit when available, per-scenario store keys) so stored benchmark
-    runs are attributable and diffable.  With a ``store``, each single
-    scenario's artifact is written through and the whole document is
-    appended to the store's ``bench_history.jsonl`` — the BENCH
-    trajectory accumulates across invocations instead of overwriting.
-    """
+    """Run the suite and return its golden-format document."""
     config = quick_config(seed) if quick else paper_config(seed)
-    names = list(scenarios) if scenarios else list(SCENARIOS)
-    prov = provenance()
-    doc: dict = {
-        "suite": "lbica-bench-suite",
-        "config": "quick" if quick else "paper",
-        "seed": seed,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "provenance": {
-            **prov,  # repro_version / git_commit / created_at, one source
-            "store": str(store.root) if store is not None else None,
-            "store_keys": {},
-        },
-        "scenarios": {},
-    }
-    for name in names:
+    fingerprints = {}
+    for name in scenarios or SCENARIOS:
         if verbose:
             print(f"[suite] {name} ...", flush=True)
-        perf, stats, digest = SCENARIOS[name](config, jobs, store)
-        doc["scenarios"][name] = {"perf": perf, "stats": stats}
-        doc["provenance"]["store_keys"][name] = digest
-        if verbose:
-            print(
-                f"[suite]   {perf['wall_clock_s']:.3f}s, "
-                f"{perf['events_per_sec']} events/s, "
-                f"{perf['simulated_ios_per_sec']} simulated IOs/s, "
-                f"peak RSS {perf['peak_rss_kb']} KiB",
-                flush=True,
-            )
-    if store is not None:
-        store.append_history(doc)
-        if verbose:
-            print(
-                f"[suite] appended run #{len(store.history())} to "
-                f"{store.history_path}",
-                flush=True,
-            )
-    return doc
-
-
-def _json_round_trip(obj: dict) -> dict:
-    """Normalize through JSON so comparisons match on-disk goldens."""
-    return json.loads(json.dumps(obj, sort_keys=True))
-
-
-def extract_goldens(doc: dict) -> dict:
-    """The golden-relevant slice of a suite document (stats only)."""
-    return {
-        "config": doc["config"],
-        "seed": doc["seed"],
-        "scenarios": {
-            name: entry["stats"] for name, entry in doc["scenarios"].items()
-        },
+        fingerprints[name] = run_scenario(name, config, jobs)
+    doc = {
+        "config": "quick" if quick else "paper",
+        "seed": seed,
+        "scenarios": fingerprints,
     }
+    return json.loads(json.dumps(doc))  # compare like the on-disk goldens
 
 
 def compare_goldens(doc: dict, golden: dict) -> list[str]:
-    """Human-readable divergence list (empty = stats match the golden)."""
+    """Divergences of the scenarios that ran (empty = all match).
+
+    A scenario the golden does not pin is a divergence too; a golden
+    entry for a scenario that did not run is not checked.
+    """
     problems: list[str] = []
-    current = _json_round_trip(extract_goldens(doc))
     for key in ("config", "seed"):
-        if current[key] != golden.get(key):
+        if doc[key] != golden.get(key):
             problems.append(
-                f"{key}: golden {golden.get(key)!r} vs current {current[key]!r}"
+                f"{key}: golden {golden.get(key)!r} vs current {doc[key]!r}"
             )
-    for name, want in golden.get("scenarios", {}).items():
-        got = current["scenarios"].get(name)
-        if got is None:
-            problems.append(f"scenario {name}: missing from this run")
-            continue
-        if got != want:
+    pinned = golden.get("scenarios", {})
+    for name, got in doc["scenarios"].items():
+        want = pinned.get(name)
+        if want is None:
+            problems.append(f"scenario {name}: no golden entry")
+        elif got != want:
             diverging = sorted(
                 field
                 for field in set(want) | set(got)
@@ -362,11 +221,10 @@ def compare_goldens(doc: dict, golden: dict) -> list[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
-        description="Run the unified benchmark suite and emit BENCH_suite.json."
+        description="Run the canonical scenarios and check their stats "
+        "fingerprints against a golden file."
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="CI-scale configuration"
-    )
+    parser.add_argument("--quick", action="store_true", help="CI-scale configuration")
     parser.add_argument("--seed", type=int, default=7, help="root seed (default 7)")
     parser.add_argument(
         "--jobs", type=int, default=2, help="workers for grid_fanout (default 2)"
@@ -380,61 +238,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--out",
-        default="BENCH_suite.json",
-        help="result file path (default: ./BENCH_suite.json)",
-    )
-    parser.add_argument(
-        "--store",
         default=None,
-        metavar="DIR",
-        help=(
-            "run-store directory: write each scenario's artifact through "
-            "and append this document to the store's bench_history.jsonl "
-            "(the accumulating BENCH trajectory)"
-        ),
+        help="write the fingerprints here in the golden format",
     )
     parser.add_argument(
         "--golden",
         default=None,
-        help="compare stats fingerprints against this golden file; exit 1 on divergence",
-    )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        metavar="DIR",
-        help=(
-            "after the suite, re-run each selected single-run scenario "
-            "under benchmarks/profile.py and drop the pstats/collapsed/"
-            "table artifacts into DIR (grid_fanout is skipped: its work "
-            "happens in child processes the profiler cannot see)"
-        ),
-    )
-    parser.add_argument(
-        "--update-golden",
-        default=None,
-        metavar="PATH",
-        help="write the current stats fingerprints as the new golden file",
+        help="compare the fingerprints of the scenarios that ran against "
+        "this golden file; exit 1 on divergence",
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print("--jobs must be >= 1", file=sys.stderr)
+        return 2
 
     doc = run_suite(
-        quick=args.quick,
-        seed=args.seed,
-        jobs=args.jobs,
-        scenarios=args.scenarios,
-        store=RunStore(args.store) if args.store else None,
+        quick=args.quick, seed=args.seed, jobs=args.jobs, scenarios=args.scenarios
     )
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"[suite] wrote {out_path}")
-
-    if args.update_golden:
-        golden_path = Path(args.update_golden)
-        golden_path.parent.mkdir(parents=True, exist_ok=True)
-        golden_path.write_text(
-            json.dumps(extract_goldens(doc), indent=1, sort_keys=True) + "\n"
-        )
-        print(f"[suite] wrote golden {golden_path}")
+    if args.out:
+        out_path = Path(args.out)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"[suite] wrote {out_path}")
 
     if args.golden:
         golden = json.loads(Path(args.golden).read_text())
@@ -444,30 +269,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"[suite] GOLDEN DIVERGENCE: {p}", file=sys.stderr)
             return 1
         print(f"[suite] stats match golden {args.golden}")
-
-    if args.profile:
-        # profile.py owns the cProfile/pstats imports (simlint SL009); it
-        # is loaded by path under a non-clashing name because `profile`
-        # would shadow the stdlib module cProfile depends on.
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "bench_profile", Path(__file__).resolve().parent / "profile.py"
-        )
-        assert spec is not None and spec.loader is not None
-        bench_profile = importlib.util.module_from_spec(spec)
-        sys.modules["bench_profile"] = bench_profile
-        spec.loader.exec_module(bench_profile)
-        profile_dir = Path(args.profile)
-        for name in args.scenarios or sorted(SCENARIOS):
-            if name in _UNPROFILED:
-                continue
-            print(f"[suite] profiling {name} ...", flush=True)
-            result = bench_profile.profile_scenario(
-                name, quick=args.quick, seed=args.seed
-            )
-            for kind, path in sorted(result.write(profile_dir).items()):
-                print(f"[suite]   {kind}: {path}")
     return 0
 
 

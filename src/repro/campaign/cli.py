@@ -99,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p = sub.add_parser(
         "diff",
         help=(
-            "compare two campaigns' stats (store dirs, golden files, or "
-            "BENCH_suite.json documents); exit 1 on any divergence"
+            "compare two campaigns' stats (store dirs or golden-format "
+            "files such as benchmarks/suite.py --out writes); exit 1 on any "
+            "divergence"
         ),
     )
     diff_p.add_argument("side_a", help="baseline: store dir or fingerprint JSON")

@@ -9,9 +9,9 @@ Three read-only views over a campaign + store:
   :mod:`repro.analysis.report`;
 - :func:`diff_fingerprints` — field-by-field comparison of two
   fingerprint sets (two stores, a store vs. ``benchmarks/golden/``, or
-  any ``BENCH_suite.json``), flagging latency/load **regressions**
-  separately from mere divergence.  Rendering goes through
-  :func:`repro.analysis.report.comparison_table`.
+  a ``benchmarks/suite.py --out`` file), flagging latency/load
+  **regressions** separately from mere divergence.  Rendering goes
+  through :func:`repro.analysis.report.comparison_table`.
 """
 
 from __future__ import annotations
@@ -368,9 +368,9 @@ def load_fingerprints(
 ) -> dict[str, dict]:
     """``{scenario name: fingerprint}`` from any comparable source.
 
-    Accepts a :class:`RunStore` (or a store directory path), a golden
-    file in the ``benchmarks/golden/`` format, or a ``BENCH_suite.json``
-    document.  Grid entries (``{sub: fingerprint}``) flatten to
+    Accepts a :class:`RunStore` (or a store directory path) or a file
+    in the ``benchmarks/golden/`` format (which ``benchmarks/suite.py
+    --out`` writes).  Grid entries (``{sub: fingerprint}``) flatten to
     ``"entry/sub"`` names.
 
     Args:
@@ -410,24 +410,16 @@ def _fingerprints_from_document(path: Path) -> dict[str, dict]:
     doc = json.loads(path.read_text(encoding="utf-8"))
     scenarios = doc.get("scenarios") if isinstance(doc, dict) else None
     if not isinstance(scenarios, dict):
-        raise ValueError(
-            f"{path}: not a golden/suite document (no 'scenarios' mapping)"
-        )
+        raise ValueError(f"{path}: not a golden document (no 'scenarios' mapping)")
     out: dict[str, dict] = {}
     for name, entry in scenarios.items():
         if _looks_like_fingerprint(entry):
             out[name] = entry
-            continue
-        if isinstance(entry, dict) and _looks_like_fingerprint(entry.get("stats")):
-            out[name] = entry["stats"]  # BENCH_suite.json single scenario
-            continue
-        nested = entry.get("stats") if isinstance(entry, dict) else None
-        nested = nested if isinstance(nested, dict) else entry
-        if isinstance(nested, dict) and all(
-            _looks_like_fingerprint(sub) for sub in nested.values()
+        elif isinstance(entry, dict) and all(
+            _looks_like_fingerprint(sub) for sub in entry.values()
         ):
-            for sub, fingerprint in nested.items():  # grid entries
+            for sub, fingerprint in entry.items():  # grid entries
                 out[f"{name}/{sub}"] = fingerprint
-            continue
-        raise ValueError(f"{path}: scenario {name!r} is not a fingerprint")
+        else:
+            raise ValueError(f"{path}: scenario {name!r} is not a fingerprint")
     return out

@@ -10,7 +10,8 @@ array's aggregate random-I/O throughput scales with the spindle count
 while per-op latency stays a single disk's.
 
 This is the knob for studying how much disk-side headroom LBICA's bypass
-policies need (see ``benchmarks/bench_ablation.py`` and the array tests).
+policies need (see :func:`repro.experiments.ablation.run_disk_headroom_sweep`
+and the array tests).
 """
 
 from __future__ import annotations

@@ -526,9 +526,9 @@ class ProfilerImportRule(Rule):
         "instrumentation is creeping into library or benchmark code: the\n"
         "hot paths must stay hook-free (cProfile's tracing slows this\n"
         "simulator's run loop ~4x, so any always-on profiling silently\n"
-        "poisons BENCH numbers), and ad-hoc profiling scripts rot where\n"
-        "the harness stays tested.  Profile through\n"
-        "benchmarks/profile.py (or suite.py --profile DIR) instead."
+        "poisons perfbench numbers), and ad-hoc profiling scripts rot\n"
+        "where the harness stays tested.  Profile through\n"
+        "benchmarks/profile.py instead."
     )
 
     _FORBIDDEN = {"cProfile", "pstats"}

@@ -5,7 +5,8 @@ Every ``figN`` module produces a :class:`FigureResult`: the per-interval
 environment), optional CSV artifacts, and a set of named *shape checks* —
 the qualitative properties of the paper's figure that the reproduction is
 expected to preserve (who is highest, who is lowest, where the crossovers
-are).  EXPERIMENTS.md and the benchmark suite consume the shape checks.
+are).  The experiments CLI's exit code and ``tests/test_paper_scale.py``
+consume the shape checks.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.config import SystemConfig, paper_config
 from repro.experiments.system import SCHEMES, RunResult
 from repro.scenario.spec import ScenarioSpec
 from repro.store.artifact import RunArtifact
-from repro.store.run_store import RunKey, RunStore, StoreError, stamped_artifact
+from repro.store.run_store import RunKey, RunStore, StoreError, provenance
 
 __all__ = [
     "ExperimentRunner",
@@ -67,12 +67,9 @@ def _simulate_spec_timed(spec: ScenarioSpec) -> tuple[RunResult, float]:
 def run_perf_counters(result: RunResult, wall_s: Optional[float]) -> dict:
     """Perf counters for one run (timing block only when timed).
 
-    The single definition of the perf block: stored artifacts use it
-    as-is, and ``benchmarks/suite.py`` builds its per-scenario ``perf``
-    section from it (adding only the RSS high-water mark), so the two
-    can never drift apart.  The result's own cheap counters (blktrace
-    record/drop totals) are always included — trace truncation is
-    visible even on untimed runs.
+    The perf block of every stored artifact.  The result's own cheap
+    counters (blktrace record/drop totals) are always included — trace
+    truncation is visible even on untimed runs.
     """
     counters = dict(result.perf_counters)
     if wall_s is None:
@@ -154,13 +151,17 @@ class ExperimentRunner:
     ) -> None:
         """Persist one simulated result into the attached store, if any.
 
-        Provenance stamping lives in :func:`repro.store.stamped_artifact`
-        — the one helper this runner and ``benchmarks/suite.py`` share.
+        The artifact is stamped with this checkout's provenance.
         """
         if self.store is None:
             return
         self.store.put(
-            stamped_artifact(spec, result, perf=run_perf_counters(result, wall_s))
+            RunArtifact.from_result(
+                spec,
+                result,
+                perf=run_perf_counters(result, wall_s),
+                provenance=provenance(),
+            )
         )
 
     def artifact_for(self, spec: ScenarioSpec) -> RunArtifact:

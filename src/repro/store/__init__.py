@@ -44,7 +44,6 @@ if TYPE_CHECKING:
         StoreError,
         StoreMissError,
         provenance,
-        stamped_artifact,
     )
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "SchemaMismatchError",
     "StoreMissError",
     "provenance",
-    "stamped_artifact",
 ]
 
 __getattr__, __dir__ = _lazy_exports(
@@ -73,7 +71,6 @@ __getattr__, __dir__ = _lazy_exports(
             "StoreError",
             "StoreMissError",
             "provenance",
-            "stamped_artifact",
         ),
     },
 )

@@ -4,7 +4,6 @@ Layout (everything JSON, everything human-inspectable)::
 
     <root>/
     ├── index.json            digest -> {name, workload, scheme, created_at}
-    ├── bench_history.jsonl   append-only benchmark trajectory (suite --store)
     └── runs/
         └── <sha256>.json     one envelope per stored run
 
@@ -46,14 +45,13 @@ import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 import repro
 from repro.store.artifact import RunArtifact, _canonical
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
-    from repro.experiments.system import RunResult
     from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "SchemaMismatchError",
     "StoreMissError",
     "provenance",
-    "stamped_artifact",
 ]
 
 #: Bump when the artifact payload layout changes incompatibly; old
@@ -129,33 +126,6 @@ def provenance() -> dict[str, Optional[str]]:
     }
 
 
-def stamped_artifact(
-    spec: "ScenarioSpec",
-    result: "RunResult",
-    *,
-    config: Optional["SystemConfig"] = None,
-    perf: Optional[Mapping[str, Any]] = None,
-) -> RunArtifact:
-    """A :class:`RunArtifact` stamped with this checkout's provenance.
-
-    The single definition of the store-provenance stamping step — the
-    experiment runner's write-through and the benchmark suite both build
-    their stored artifacts here, so the provenance block (repro version,
-    git commit, creation time) can never drift between the two.
-
-    Args:
-        spec: The scenario that ran.
-        result: Its :class:`~repro.experiments.system.RunResult`.
-        config: The :class:`~repro.config.SystemConfig` actually used
-            when it differs from ``spec.to_config()`` (the benchmark
-            suite's injected quick/seed config).
-        perf: Optional perf counters to record.
-    """
-    return RunArtifact.from_result(
-        spec, result, config=config, perf=perf, provenance=provenance()
-    )
-
-
 @dataclass(frozen=True)
 class RunKey:
     """The content address of one stored run.
@@ -204,8 +174,8 @@ class RunKey:
                 spec never runs, so it has no run key).
             config: The :class:`~repro.config.SystemConfig` actually
                 driving the run when it differs from the spec's own
-                ``base`` + ``system`` (the benchmark suite's injected
-                ``--quick``/``--seed`` config); defaults to
+                ``base`` + ``system`` (an injected quick or seed config,
+                as ``spec.run(config=...)`` takes); defaults to
                 ``spec.to_config()``.
         """
         cfg = config if config is not None else spec.to_config()
@@ -224,7 +194,6 @@ class RunStore:
         self.root = Path(root)
         self.runs_dir = self.root / "runs"
         self.index_path = self.root / "index.json"
-        self.history_path = self.root / "bench_history.jsonl"
         self.runs_dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -425,29 +394,6 @@ class RunStore:
                 problems[digest] = str(exc)
         self._write_index(entries)
         return entries, problems
-
-    # ------------------------------------------------------------------
-    # Benchmark trajectory (suite --store)
-    # ------------------------------------------------------------------
-    def append_history(self, doc: dict[str, Any]) -> None:
-        """Append one benchmark-suite document to ``bench_history.jsonl``.
-
-        Append-only by design: re-running the suite accumulates a
-        trajectory (one line per invocation) instead of overwriting —
-        the store keeps *every* measurement even though the
-        content-addressed artifacts converge to one per key.
-        """
-        line = json.dumps(doc, sort_keys=True) + "\n"
-        with open(self.history_path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-
-    def history(self) -> list[dict[str, Any]]:
-        """Every recorded benchmark document, oldest first."""
-        try:
-            raw = self.history_path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return []
-        return [json.loads(line) for line in raw.splitlines() if line.strip()]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RunStore({str(self.root)!r}, {len(self.digests())} runs)"
