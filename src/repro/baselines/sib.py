@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.controller import CacheController
 from repro.cache.write_policy import WritePolicy
-from repro.devices.base import StorageDevice
 from repro.schemes.base import Scheme
 from repro.schemes.configs import SibConfig
 from repro.schemes.registry import register_scheme
@@ -52,8 +50,7 @@ class SibController(Scheme):
     """Runs SIB's estimate-and-bypass loop on a simulated system.
 
     The cache controller must be configured in SIB's WT+WO hybrid mode
-    (``policy=WT, promote_on_miss=False``); :meth:`configure_cache` does
-    this.
+    (``policy=WT, promote_on_miss=False``); :meth:`start` does this.
     """
 
     name = "sib"
@@ -65,59 +62,27 @@ class SibController(Scheme):
     config_field = "sib"
     paper_baseline = True
     registry_order = 1
-
-    def __init__(
-        self,
-        sim,
-        controller: CacheController,
-        ssd: StorageDevice,
-        hdd: StorageDevice,
-        config: SibConfig | None = None,
-    ) -> None:
-        self.sim = sim
-        self.controller = controller
-        self.ssd = ssd
-        self.hdd = hdd
-        self.config = config or SibConfig()
-        self.config.validate()
-        self.rounds: list[SibRound] = []
-        self.total_overhead_us = 0.0
-        self._started = False
-
-    @classmethod
-    def from_system(cls, system) -> "SibController":
-        return cls(
-            system.sim, system.controller, system.ssd, system.hdd, system.config.sib
-        ).attach(system)
-
-    def decision_log(self) -> list:
-        """The balancing rounds (one :class:`SibRound` per action)."""
-        return self.rounds
+    # SIB balances finer than a monitoring interval.
+    ticks_per_interval = 4
 
     def summary_stats(self) -> dict:
         return {
-            "rounds": len(self.rounds),
+            "rounds": len(self.decisions),
             "bypassed": self.total_bypassed,
             "overhead_us": self.total_overhead_us,
         }
 
-    def configure_cache(self) -> None:
-        """Pin the cache to SIB's fixed write-through mode."""
+    def start(self) -> None:
+        """Pin SIB's write-through cache mode, then start the loop (idempotent)."""
+        if self._started:
+            return
         self.controller.set_policy(
             WritePolicy.WT, promote_on_miss=self.config.promote_on_miss
         )
-
-    def start(self) -> None:
-        """Begin the balancing loop (idempotent); pins the cache mode."""
-        if self._started:
-            return
-        self._started = True
-        self.configure_cache()
-        self.sim.schedule(self.config.check_interval_us, self._tick)
+        super().start()
 
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        now = self.sim.now
+    def on_tick(self, now: float) -> None:
         cfg = self.config
         cache_qtime = self.ssd.queue_time()
         disk_qtime = self.hdd.queue_time()
@@ -131,7 +96,6 @@ class SibController(Scheme):
             overhead = cfg.scan_overhead_us_per_op * len(estimates)
             if overhead > 0:
                 self.ssd.pause_dispatch(overhead)
-                self.total_overhead_us += overhead
             # Move enough tail requests to (approximately) equalize Eq. 1.
             per_move_gain = self.ssd.avg_latency + self.hdd.avg_latency
             want = int((cache_qtime - disk_qtime) / max(per_move_gain, 1e-9))
@@ -141,7 +105,7 @@ class SibController(Scheme):
             )
             for op in stolen:
                 self.controller.redirect_to_disk(op)
-            self.rounds.append(
+            self.decisions.append(
                 SibRound(
                     time=now,
                     cache_qtime=cache_qtime,
@@ -151,16 +115,20 @@ class SibController(Scheme):
                     bypassed=len(stolen),
                 )
             )
-        self.sim.schedule(cfg.check_interval_us, self._tick)
 
     @property
     def total_bypassed(self) -> int:
         """Requests moved to the disk over the run."""
-        return sum(r.bypassed for r in self.rounds)
+        return sum(r.bypassed for r in self.decisions)
+
+    @property
+    def total_overhead_us(self) -> float:
+        """Dispatch stall charged for the estimation passes over the run."""
+        return sum((r.overhead_us for r in self.decisions), 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SibController(rounds={len(self.rounds)}, "
+            f"SibController(rounds={len(self.decisions)}, "
             f"bypassed={self.total_bypassed}, overhead={self.total_overhead_us:.0f}µs)"
         )
 

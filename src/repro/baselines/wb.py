@@ -8,7 +8,7 @@ bottleneck — the pathology Figures 4 and 7 quantify.
 
 There is nothing to *do* for this scheme; the class exists so the
 experiment runner can treat every registered scheme uniformly
-(construct, ``start()``, inspect after the run).
+(``cls(config).attach(system)``, ``start()``, inspect after the run).
 """
 
 from __future__ import annotations
@@ -27,22 +27,7 @@ class WbBaseline(Scheme):
     config_cls = None  # genuinely config-less, stated explicitly (SL005)
     paper_baseline = True
     registry_order = 0
-
-    def __init__(self, sim=None, controller=None, ssd=None, hdd=None) -> None:
-        self.sim = sim
-        self.controller = controller
-        self.config = None
-        self.decisions: list = []
-
-    @classmethod
-    def from_system(cls, system) -> "WbBaseline":
-        return cls(system.sim, system.controller).attach(system)
-
-    def start(self) -> None:
-        """No periodic activity."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "WbBaseline()"
+    ticks_per_interval = 0  # no periodic activity
 
 
 register_scheme(WbBaseline)

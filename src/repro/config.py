@@ -39,7 +39,9 @@ class SystemConfig:
     Attributes:
         seed: Root seed for all random streams.
         interval_us: Monitoring interval (the paper's 10-minute window,
-            scaled to simulation time).
+            scaled to simulation time).  It also paces every scheme's
+            control loop: LBICA and the capacity schemes evaluate once
+            per interval, SIB four times.
         cache_blocks: SSD cache capacity in 4-KiB blocks.
         cache_associativity: Ways per cache set.
         replacement: Replacement policy name (``lru``/``fifo``/``clock``/``lfu``).
@@ -90,29 +92,6 @@ class SystemConfig:
     max_outstanding: int = 256
     drain_intervals: int = 0
     obs: ObsConfig = field(default_factory=ObsConfig)
-
-    def __post_init__(self) -> None:
-        # Keep the control loops aligned with the monitoring interval by
-        # default: LBICA decides once per interval, SIB four times.
-        if self.lbica.decision_interval_us != self.interval_us:
-            self.lbica = replace(self.lbica, decision_interval_us=self.interval_us)
-        if self.sib.check_interval_us != self.interval_us / 4.0:
-            self.sib = replace(self.sib, check_interval_us=self.interval_us / 4.0)
-        # The capacity-allocation schemes tick at the monitoring interval
-        # too (dynshare decides, partition only observes).
-        if self.dynshare.decision_interval_us != self.interval_us:
-            self.dynshare = replace(
-                self.dynshare, decision_interval_us=self.interval_us
-            )
-        if self.slosteal.decision_interval_us != self.interval_us:
-            self.slosteal = replace(
-                self.slosteal, decision_interval_us=self.interval_us
-            )
-        if self.partition.report_interval_us not in (0.0, self.interval_us):
-            # 0 stays 0: it means "no periodic occupancy log".
-            self.partition = replace(
-                self.partition, report_interval_us=self.interval_us
-            )
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""

@@ -2,7 +2,7 @@
 
 Ties the three procedures of Fig. 2 together on the simulator:
 
-1. every ``decision_interval_us``, read the live Eq. 1 queue times off
+1. once per monitoring interval, read the live Eq. 1 queue times off
    the devices (the iostat substrate);
 2. when the cache is the bottleneck, snapshot the SSD queue's R/W/P/E
    mix (the blktrace substrate) and classify it into a workload group;
@@ -11,7 +11,10 @@ Ties the three procedures of Fig. 2 together on the simulator:
 
 Every evaluation is logged as an :class:`LbicaDecision`; the Fig. 6
 experiment renders this log directly (burst markers, detected groups,
-policy annotations).
+policy annotations).  The controller is built like every other scheme,
+``LbicaController(config).attach(system)``; attaching takes the
+system's :class:`~repro.trace.blktrace.BlkTracer` and builds the
+tail-bypass balancer over its devices.
 """
 
 from __future__ import annotations
@@ -19,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cache.controller import CacheController
 from repro.cache.write_policy import WritePolicy
 from repro.core.balancer import TailBypassBalancer
 from repro.core.bottleneck import BottleneckDetector
 from repro.core.characterization import QueueMix, WorkloadCharacterizer, WorkloadGroup
 from repro.core.policy_table import PolicyAction, default_policy_table
-from repro.devices.base import StorageDevice
 from repro.io.request import OpTag
 from repro.schemes.base import Scheme
 from repro.schemes.configs import LbicaConfig
@@ -63,49 +64,27 @@ class LbicaController(Scheme):
     config_field = "lbica"
     paper_baseline = True
     registry_order = 2
+    ticks_per_interval = 1
 
-    def __init__(
-        self,
-        sim,
-        controller: CacheController,
-        ssd: StorageDevice,
-        hdd: StorageDevice,
-        tracer: BlkTracer,
-        config: LbicaConfig | None = None,
-    ) -> None:
-        self.sim = sim
-        self.controller = controller
-        self.ssd = ssd
-        self.hdd = hdd
-        self.tracer = tracer
-        self.config = config or LbicaConfig()
-        self.config.validate()
+    def _on_attach(self, system) -> None:
+        config = self.config
+        self.tracer: BlkTracer = system.tracer
         self.detector = BottleneckDetector(
-            margin=self.config.margin,
-            min_cache_qtime_us=self.config.min_cache_qtime_us,
+            margin=config.margin,
+            min_cache_qtime_us=config.min_cache_qtime_us,
         )
-        self.characterizer = WorkloadCharacterizer(self.config.characterizer)
+        self.characterizer = WorkloadCharacterizer(config.characterizer)
         self.policy_table: dict[WorkloadGroup, PolicyAction] = default_policy_table()
         self.balancer = TailBypassBalancer(
-            controller, ssd, hdd, max_bypass_per_round=self.config.max_bypass_per_round
+            self.controller,
+            self.ssd,
+            self.hdd,
+            max_bypass_per_round=config.max_bypass_per_round,
         )
-        self.decisions: list[LbicaDecision] = []
         self._quiet_streak = 0
         self._tick_count = 0
         self._group_streak: tuple[Optional[WorkloadGroup], int] = (None, 0)
         self._prev_ssd_qsize = 0
-        self._started = False
-
-    @classmethod
-    def from_system(cls, system) -> "LbicaController":
-        return cls(
-            system.sim,
-            system.controller,
-            system.ssd,
-            system.hdd,
-            system.tracer,
-            system.config.lbica,
-        ).attach(system)
 
     def summary_stats(self) -> dict:
         return {
@@ -115,16 +94,8 @@ class LbicaController(Scheme):
         }
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin the periodic control loop (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        self.sim.schedule(self.config.decision_interval_us, self._tick)
-
-    # ------------------------------------------------------------------
     def _tick(self) -> None:
-        # One evaluation per decision interval; the config and device
+        # One evaluation per monitoring interval; the config and device
         # handles are loop-invariant across the whole run, so they are
         # bound once per tick here rather than re-chained at every use.
         sim = self.sim
@@ -217,7 +188,7 @@ class LbicaController(Scheme):
                 bypassed=bypassed,
             )
         )
-        sim.schedule(config.decision_interval_us, self._tick)
+        sim.schedule(self.tick_interval_us, self._tick)
 
     # ------------------------------------------------------------------
     @property

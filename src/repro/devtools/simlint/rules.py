@@ -334,8 +334,7 @@ class ConfigMutationRule(Rule):
         "the config the run actually used.  Mutating config attributes\n"
         "after system construction silently invalidates that digest (and\n"
         "any cached store hit).  Build a new config with\n"
-        "dataclasses.replace() instead; only SystemConfig.__post_init__\n"
-        "(repro.config itself) normalizes in place."
+        "dataclasses.replace() instead (repro.config itself is exempt)."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:

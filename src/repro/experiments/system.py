@@ -406,9 +406,10 @@ class ExperimentSystem:
         )
         self.flusher = WritebackFlusher(self.sim, self.controller, config.writeback)
 
-        # The registry owns construction: each scheme's ``from_system``
-        # builds against the wired stack and attaches (installing any
-        # datapath hooks it needs, e.g. a cache allocator).
+        # The registry owns construction: ``Scheme.from_system`` builds
+        # the scheme from its config block and attaches it to the wired
+        # stack (installing any datapath hooks it needs, e.g. a cache
+        # allocator, and deriving its tick period from the interval).
         self.balancer: Scheme = scheme_cls.from_system(self)
 
         # Service layer (opt-in): a churn executor when any tenant

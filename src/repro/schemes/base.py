@@ -14,7 +14,8 @@ module opens that axis: a scheme is a class with
   validate like every other nested override;
 - :meth:`attach`/:meth:`detach` to wire into (and cleanly out of) a
   built :class:`~repro.experiments.system.ExperimentSystem`;
-- a periodic :meth:`on_tick` hook driven by :attr:`tick_interval_us`;
+- a periodic :meth:`on_tick` hook, run ``ticks_per_interval`` times per
+  monitoring interval;
 - a :meth:`decision_log` (one record per evaluation — the Fig. 6
   timeline generalized) and :meth:`summary_stats` for reports.
 
@@ -70,14 +71,11 @@ class Scheme:
     """Base class for allocation/balancing schemes.
 
     Subclasses declare class attributes (``name``, ``description``,
-    ``config_cls``, ``config_field``, ``paper_baseline``) and implement
-    behavior via the attach/tick hooks.  The historical controllers
-    (:class:`~repro.baselines.wb.WbBaseline`,
-    :class:`~repro.baselines.sib.SibController`,
-    :class:`~repro.core.lbica.LbicaController`) subclass this with their
-    original constructors and loops untouched, so their simulations are
-    bit-identical to the pre-registry wiring (pinned by the committed
-    golden fingerprints).
+    ``config_cls``, ``config_field``, ``paper_baseline``,
+    ``ticks_per_interval``) and implement behavior via the attach/tick
+    hooks.  Every scheme is built the same way: ``cls(config)`` takes
+    only its config block, and :meth:`attach` binds it to a wired
+    system and derives its tick period from the monitoring interval.
     """
 
     #: Registry key (``scheme`` field of a :class:`ScenarioSpec`).
@@ -97,12 +95,10 @@ class Scheme:
     #: lbica, partition, dynshare`` order; third-party schemes default
     #: to the end.
     registry_order: ClassVar[int] = 1000
-
-    # Instance-attribute fallbacks: legacy subclasses never call
-    # ``Scheme.__init__``, so the shared state lives in class attributes
-    # that instances shadow on first write.
-    system: Optional["ExperimentSystem"] = None
-    _started: bool = False
+    #: Control-loop evaluations per monitoring interval: :meth:`attach`
+    #: sets :attr:`tick_interval_us` to ``interval_us`` divided by this
+    #: (``0`` = no periodic tick).
+    ticks_per_interval: ClassVar[int] = 0
 
     def __init__(self, config: Optional[SchemeConfigLike] = None) -> None:
         if config is None and self.config_cls is not None:
@@ -113,6 +109,10 @@ class Scheme:
         # fields, and the declared config_cls is what types it in spirit.
         self.config: Any = config
         self.decisions: list[Any] = []
+        self.system: Optional["ExperimentSystem"] = None
+        #: Period of the control loop (set by :meth:`attach`).
+        self.tick_interval_us = 0.0
+        self._started = False
 
     # ------------------------------------------------------------------
     # Construction from a wired system
@@ -121,9 +121,7 @@ class Scheme:
     def from_system(cls, system: "ExperimentSystem") -> "Scheme":
         """Build this scheme against a wired system (the registry path).
 
-        The default implementation constructs with the system's declared
-        config block and attaches; legacy schemes override to keep their
-        historical constructor signatures.
+        Constructs with the system's declared config block and attaches.
         """
         config = None
         if cls.config_field is not None:
@@ -145,6 +143,8 @@ class Scheme:
         self.controller = system.controller
         self.ssd = system.ssd
         self.hdd = system.hdd
+        ticks = self.ticks_per_interval
+        self.tick_interval_us = system.config.interval_us / ticks if ticks else 0.0
         self._on_attach(system)
         return self
 
@@ -169,11 +169,6 @@ class Scheme:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    @property
-    def tick_interval_us(self) -> float:
-        """Period of the scheme's control loop (``0`` = no periodic tick)."""
-        return 0.0
-
     def start(self) -> None:
         """Begin periodic activity (idempotent)."""
         if self._started:

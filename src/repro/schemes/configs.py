@@ -6,6 +6,11 @@ imports no controller, and a run imports only its own scheme's module.
 Each implementation module re-exports its config, so
 ``from repro.schemes.dynshare import DynShareConfig`` and the other
 historical import paths keep working.
+
+No config sets a tick period: every scheme's control loop runs a fixed
+whole number of times per monitoring interval
+(:attr:`~repro.schemes.base.Scheme.ticks_per_interval`), so
+:attr:`~repro.config.SystemConfig.interval_us` alone sets the pace.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ class SibConfig:
     """SIB tuning.
 
     Attributes:
-        check_interval_us: Period of the balancing loop (SIB runs finer
-            than a monitoring interval).
         scan_overhead_us_per_op: Estimation cost charged per pending op
             each round (stalls SSD dispatch).
         max_bypass_per_round: Bound on requests moved per round.
@@ -46,7 +49,6 @@ class SibConfig:
             strict WT+WO variant is exercised by the ablation benchmark.
     """
 
-    check_interval_us: float = 12_500.0
     scan_overhead_us_per_op: float = 2.0
     max_bypass_per_round: int = 64
     margin: float = 1.0
@@ -55,16 +57,9 @@ class SibConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-        for name in (
-            "check_interval_us",
-            "scan_overhead_us_per_op",
-            "margin",
-            "min_cache_qtime_us",
-        ):
+        for name in ("scan_overhead_us_per_op", "margin", "min_cache_qtime_us"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.check_interval_us <= 0:
-            raise ValueError("check_interval_us must be positive")
         if self.scan_overhead_us_per_op < 0:
             raise ValueError("scan_overhead_us_per_op must be non-negative")
         if self.max_bypass_per_round <= 0:
@@ -78,8 +73,6 @@ class LbicaConfig:
     """LBICA tuning.
 
     Attributes:
-        decision_interval_us: Period of the control loop (the paper runs
-            it at the monitoring interval).
         margin: Bottleneck margin for Eq. 1 (see
             :class:`~repro.core.bottleneck.BottleneckDetector`).
         min_cache_qtime_us: Absolute burst floor.
@@ -106,7 +99,6 @@ class LbicaConfig:
             mix (robust) instead of the instantaneous snapshot.
     """
 
-    decision_interval_us: float = 50_000.0
     margin: float = 1.0
     min_cache_qtime_us: float = 80_000.0
     characterizer: CharacterizerConfig = field(default_factory=CharacterizerConfig)
@@ -118,11 +110,9 @@ class LbicaConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-        for name in ("decision_interval_us", "margin", "min_cache_qtime_us"):
+        for name in ("margin", "min_cache_qtime_us"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.decision_interval_us <= 0:
-            raise ValueError("decision_interval_us must be positive")
         if self.revert_after_quiet is not None and self.revert_after_quiet <= 0:
             raise ValueError("revert_after_quiet must be positive when set")
         if self.confirm_ticks < 1:
@@ -146,15 +136,11 @@ class PartitionConfig:
             extras are ignored.  Unused by ``fair``.
         min_share_blocks: Floor under any tenant's share, so a tiny
             weight still leaves room to make progress.
-        report_interval_us: Period of the observation tick that logs
-            occupancy snapshots (``0`` disables the periodic log; the
-            startup share assignment is always logged).
     """
 
     variant: str = "fair"
     weights: list[float] = field(default_factory=list)
     min_share_blocks: int = 64
-    report_interval_us: float = 50_000.0
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
@@ -162,14 +148,10 @@ class PartitionConfig:
             raise ValueError(
                 f"partition variant must be one of {_VARIANTS}, got {self.variant!r}"
             )
-        if not math.isfinite(self.report_interval_us):
-            raise ValueError("report_interval_us must be finite")
         if not all(0 < w < math.inf for w in self.weights):
             raise ValueError("partition weights must be positive and finite")
         if self.min_share_blocks < 1:
             raise ValueError("min_share_blocks must be >= 1")
-        if self.report_interval_us < 0:
-            raise ValueError("report_interval_us must be non-negative")
 
 
 @dataclass
@@ -177,9 +159,6 @@ class DynShareConfig:
     """Dynamic-allocator tuning.
 
     Attributes:
-        decision_interval_us: Period of the reallocation loop (aligned
-            to the monitoring interval by :class:`~repro.config.
-            SystemConfig`, like LBICA's decision loop).
         min_share_blocks: Floor under any tenant's share; reallocation
             never drains a tenant below it.
         max_step_blocks: Largest quota move per tick — small steps keep
@@ -192,7 +171,6 @@ class DynShareConfig:
             bounds only the working curve).
     """
 
-    decision_interval_us: float = 50_000.0
     min_share_blocks: int = 64
     max_step_blocks: int = 256
     ewma: float = 0.3
@@ -200,10 +178,6 @@ class DynShareConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-        if not math.isfinite(self.decision_interval_us):
-            raise ValueError("decision_interval_us must be finite")
-        if self.decision_interval_us <= 0:
-            raise ValueError("decision_interval_us must be positive")
         if self.min_share_blocks < 1:
             raise ValueError("min_share_blocks must be >= 1")
         if self.max_step_blocks < 1:
@@ -219,9 +193,6 @@ class SloStealConfig:
     """SLO-stealing tuning.
 
     Attributes:
-        decision_interval_us: Period of the stealing loop (aligned to
-            the monitoring interval by
-            :class:`~repro.config.SystemConfig`).
         min_share_blocks: Floor under any tenant's share; stealing never
             drains a donor below it.
         max_step_blocks: Largest quota move per tick.
@@ -230,17 +201,12 @@ class SloStealConfig:
             safety margin between donors and the violation boundary).
     """
 
-    decision_interval_us: float = 50_000.0
     min_share_blocks: int = 64
     max_step_blocks: int = 256
     donor_headroom: float = 0.8
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-        if not math.isfinite(self.decision_interval_us):
-            raise ValueError("decision_interval_us must be finite")
-        if self.decision_interval_us <= 0:
-            raise ValueError("decision_interval_us must be positive")
         if self.min_share_blocks < 1:
             raise ValueError("min_share_blocks must be >= 1")
         if self.max_step_blocks < 1:

@@ -69,6 +69,7 @@ class DynamicShareScheme(CapacityScheme):
     config_cls = DynShareConfig
     config_field = "dynshare"
     registry_order = 11
+    ticks_per_interval = 1
 
     def __init__(self, config: DynShareConfig | None = None) -> None:
         super().__init__(config)
@@ -90,10 +91,6 @@ class DynamicShareScheme(CapacityScheme):
         self.curves = {tid: [] for tid in self.shares}
 
     # ------------------------------------------------------------------
-    @property
-    def tick_interval_us(self) -> float:
-        return self.config.decision_interval_us
-
     def on_tick(self, now: float) -> None:
         cfg = self.config
         tenants = sorted(self.shares)

@@ -65,6 +65,7 @@ class StaticPartitionScheme(CapacityScheme):
     config_cls = PartitionConfig
     config_field = "partition"
     registry_order = 10
+    ticks_per_interval = 1
 
     # ------------------------------------------------------------------
     def _on_attach(self, system: "ExperimentSystem") -> None:
@@ -80,10 +81,6 @@ class StaticPartitionScheme(CapacityScheme):
         self._install_allocator(system, shares)
 
     # ------------------------------------------------------------------
-    @property
-    def tick_interval_us(self) -> float:
-        return self.config.report_interval_us
-
     def start(self) -> None:
         if self._started:
             return

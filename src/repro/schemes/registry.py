@@ -15,9 +15,7 @@ Adding a competitor scheme is therefore one class plus one call::
     class NoopScheme(Scheme):
         name = "noop"
         description = "Does nothing (an example)."
-
-        def start(self):
-            pass
+        ticks_per_interval = 0  # no periodic tick
 
 after which ``ScenarioSpec(scheme="noop")``, ``--list-schemes``, and
 campaign sweeps over ``scheme`` all pick it up.

@@ -74,6 +74,7 @@ class SloStealScheme(CapacityScheme):
     config_cls = SloStealConfig
     config_field = "slosteal"
     registry_order = 12
+    ticks_per_interval = 1
 
     def __init__(self, config: SloStealConfig | None = None) -> None:
         super().__init__(config)
@@ -111,10 +112,6 @@ class SloStealScheme(CapacityScheme):
         self._window.pop(tenant_id, None)
 
     # ------------------------------------------------------------------
-    @property
-    def tick_interval_us(self) -> float:
-        return self.config.decision_interval_us
-
     def on_tick(self, now: float) -> None:
         tenants = sorted(self.shares)
         p99s: dict[int, float] = {}

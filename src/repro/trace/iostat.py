@@ -17,7 +17,7 @@ times, and completed-request latency statistics for that interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.devices.base import StorageDevice
 from repro.io.request import Request
@@ -122,8 +122,10 @@ class IostatMonitor:
         hdd: Disk-subsystem device.
         interval_us: Sampling period (the paper uses 10-minute wall-clock
             intervals; simulation presets scale this down).
-        on_sample: Optional callback invoked with each new sample (LBICA
-            and SIB subscribe here in some configurations).
+
+    Subscribers register with :meth:`add_sample_hook` (the obs layer's
+    per-interval snapshot rides there).  The schemes read the devices'
+    live queue times themselves and never subscribe.
     """
 
     def __init__(
@@ -132,7 +134,6 @@ class IostatMonitor:
         ssd: StorageDevice,
         hdd: StorageDevice,
         interval_us: float,
-        on_sample: Optional[Callable[[IntervalSample], None]] = None,
     ) -> None:
         if interval_us <= 0:
             raise ValueError("interval_us must be positive")
@@ -141,7 +142,6 @@ class IostatMonitor:
         self.hdd = hdd
         self.interval_us = interval_us
         self.samples: list[IntervalSample] = []
-        self._on_sample = on_sample
         # One persistent accumulator, reset in place each tick; the
         # completion hook is its bound ``record`` so the per-request hot
         # path pays no forwarding frame.
@@ -151,8 +151,8 @@ class IostatMonitor:
         self.record_completion: Callable[[Request], None] = self._accum.record
         self._prev_busy = (0.0, 0.0)
         self._started = False
-        # Extra per-sample observers (the obs layer's snapshot rides
-        # here) — empty by default, so a telemetry-free run pays one
+        # Per-sample observers (the obs layer's snapshot rides here) —
+        # empty by default, so a telemetry-free run pays one
         # falsy check per interval, never per event.
         self._sample_hooks: list[Callable[[IntervalSample], None]] = []
 
@@ -170,17 +170,11 @@ class IostatMonitor:
     def add_sample_hook(self, fn: Callable[[IntervalSample], None]) -> None:
         """Call ``fn(sample)`` after each interval sample is recorded.
 
-        Hooks run after the primary ``on_sample`` callback (schemes keep
-        priority) and ride the existing tick event — registering one
-        schedules nothing new, so the event sequence is unchanged.
+        Hooks run in registration order and ride the existing tick
+        event — registering one schedules nothing new, so the event
+        sequence is unchanged.
         """
         self._sample_hooks.append(fn)
-
-    def instantaneous_qtimes(self) -> tuple[float, float]:
-        """Instantaneous Eq. 1 ``(cache_Qtime, disk_Qtime)`` right now."""
-        cache_qt = eq1_queue_time(self.ssd.qsize, self.ssd.avg_latency)
-        disk_qt = eq1_queue_time(self.hdd.qsize, self.hdd.avg_latency)
-        return cache_qt, disk_qt
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
@@ -226,8 +220,6 @@ class IostatMonitor:
         acc.tenants = {}
         self.ssd.queue.reset_window(now)
         self.hdd.queue.reset_window(now)
-        if self._on_sample is not None:
-            self._on_sample(sample)
         if self._sample_hooks:
             for hook in self._sample_hooks:
                 hook(sample)

@@ -1,5 +1,7 @@
 """Unit tests for the WB and SIB baselines."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines.sib import SibConfig, SibController
@@ -8,10 +10,25 @@ from repro.cache.write_policy import WritePolicy
 from repro.io.request import Request
 
 
+def attach(scheme, sim, controller, ssd, hdd, interval_us):
+    """``scheme`` attached to a stand-in system with the given monitoring
+    interval (what the scheme layer reads off a built system)."""
+    system = SimpleNamespace(
+        sim=sim,
+        controller=controller,
+        ssd=ssd,
+        hdd=hdd,
+        tracer=None,
+        config=SimpleNamespace(interval_us=interval_us),
+    )
+    return scheme.attach(system)
+
+
 class TestWbBaseline:
-    def test_noop(self, sim, controller):
-        wb = WbBaseline(sim, controller)
+    def test_noop(self, sim, controller, ssd, hdd):
+        wb = attach(WbBaseline(), sim, controller, ssd, hdd, 1000.0)
         wb.start()
+        assert wb.tick_interval_us == 0.0
         assert sim.pending_events == 0
         assert controller.policy is WritePolicy.WB
 
@@ -21,8 +38,6 @@ class TestSibConfig:
         SibConfig().validate()
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            SibConfig(check_interval_us=0).validate()
         with pytest.raises(ValueError):
             SibConfig(scan_overhead_us_per_op=-1).validate()
         with pytest.raises(ValueError):
@@ -65,13 +80,11 @@ def fast_disk_setup(sim):
 
 class TestSibController:
     def _build(self, sim, controller, ssd, hdd, **kw):
-        defaults = dict(
-            check_interval_us=500.0,
-            min_cache_qtime_us=0.0,
-            scan_overhead_us_per_op=1.0,
-        )
+        defaults = dict(min_cache_qtime_us=0.0, scan_overhead_us_per_op=1.0)
         defaults.update(kw)
-        return SibController(sim, controller, ssd, hdd, SibConfig(**defaults))
+        sib = SibController(SibConfig(**defaults))
+        # Four rounds per 2,000-µs monitoring interval: one every 500 µs.
+        return attach(sib, sim, controller, ssd, hdd, 2000.0)
 
     def test_start_pins_wt_mode(self, sim, controller, ssd, hdd):
         sib = self._build(sim, controller, ssd, hdd)
@@ -92,7 +105,7 @@ class TestSibController:
         for r in reqs:
             controller.submit(r)
         sim.run(until=500.0)
-        assert sib.rounds, "SIB should have acted on the loaded cache queue"
+        assert sib.decisions, "SIB should have acted on the loaded cache queue"
         assert sib.total_bypassed > 0
 
     def test_charges_scan_overhead(self, sim, fast_disk_setup):
@@ -103,8 +116,8 @@ class TestSibController:
             controller.submit(Request(0.0, 100 + i, 1, True))
         sim.run(until=500.0)
         assert sib.total_overhead_us > 0
-        assert sib.rounds[0].overhead_us == pytest.approx(
-            5.0 * sib.rounds[0].pending, rel=0.5
+        assert sib.decisions[0].overhead_us == pytest.approx(
+            5.0 * sib.decisions[0].pending, rel=0.5
         )
 
     def test_idle_when_disk_is_bottleneck(self, sim, controller, ssd, hdd):

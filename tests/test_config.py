@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache.writeback import WritebackConfig
 from repro.config import SystemConfig, paper_config, quick_config
+from repro.experiments.system import ExperimentSystem
 from repro.obs.config import ObsConfig
 from repro.schemes.configs import (
     DynShareConfig,
@@ -23,20 +24,23 @@ FLOAT_FIELDS = [
     (WritebackConfig, "interval_us"),
     (WritebackConfig, "low_watermark"),
     (WritebackConfig, "high_watermark"),
-    (LbicaConfig, "decision_interval_us"),
     (LbicaConfig, "margin"),
     (LbicaConfig, "min_cache_qtime_us"),
-    (SibConfig, "check_interval_us"),
     (SibConfig, "scan_overhead_us_per_op"),
     (SibConfig, "margin"),
     (SibConfig, "min_cache_qtime_us"),
-    (DynShareConfig, "decision_interval_us"),
     (DynShareConfig, "ewma"),
-    (PartitionConfig, "report_interval_us"),
-    (SloStealConfig, "decision_interval_us"),
     (SloStealConfig, "donor_headroom"),
     (ObsConfig, "heartbeat_s"),
 ]
+
+
+def tick_periods(config: SystemConfig) -> dict[str, float]:
+    """The control-loop period of each built-in scheme, built on ``config``."""
+    return {
+        name: ExperimentSystem.build("tpcc", name, config).balancer.tick_interval_us
+        for name in ("wb", "sib", "lbica", "partition", "dynshare", "slosteal")
+    }
 
 
 class TestSystemConfig:
@@ -49,9 +53,10 @@ class TestSystemConfig:
         assert quick.interval_us < paper_config().interval_us
 
     def test_control_loops_align_to_interval(self):
-        cfg = SystemConfig(interval_us=40_000.0)
-        assert cfg.lbica.decision_interval_us == 40_000.0
-        assert cfg.sib.check_interval_us == 10_000.0
+        periods = tick_periods(SystemConfig(interval_us=40_000.0))
+        assert periods.pop("wb") == 0.0
+        assert periods.pop("sib") == 10_000.0
+        assert set(periods.values()) == {40_000.0}
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
@@ -92,5 +97,7 @@ class TestSystemConfig:
         assert b.ssd.read_us != 1.0
 
     def test_replace_keeps_alignment(self):
-        cfg = replace(paper_config(), interval_us=20_000.0)
-        assert cfg.lbica.decision_interval_us == 20_000.0
+        periods = tick_periods(replace(paper_config(), interval_us=20_000.0))
+        assert periods.pop("wb") == 0.0
+        assert periods.pop("sib") == 5_000.0
+        assert set(periods.values()) == {20_000.0}

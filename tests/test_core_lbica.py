@@ -1,6 +1,7 @@
 """Unit tests for LBICA's three procedures and the controller loop."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -202,16 +203,18 @@ class TestLbicaController:
         tracer = BlkTracer(sim)
         tracer.attach(ssd)
         tracer.attach(hdd)
-        defaults = dict(
-            decision_interval_us=1000.0,
-            min_cache_qtime_us=0.0,
-            confirm_ticks=1,
+        # LBICA evaluates once per monitoring interval: every 1,000 µs.
+        system = SimpleNamespace(
+            sim=sim,
+            controller=controller,
+            ssd=ssd,
+            hdd=hdd,
+            tracer=tracer,
+            config=SimpleNamespace(interval_us=1000.0),
         )
+        defaults = dict(min_cache_qtime_us=0.0, confirm_ticks=1)
         defaults.update(cfg_kw)
-        lbica = LbicaController(
-            sim, controller, ssd, hdd, tracer, LbicaConfig(**defaults)
-        )
-        return lbica
+        return LbicaController(LbicaConfig(**defaults)).attach(system)
 
     def test_assigns_wo_on_random_read_burst(self, sim, controller, ssd, hdd, store):
         lbica = self._build(sim, controller, ssd, hdd)
@@ -273,8 +276,6 @@ class TestLbicaController:
         assert [d.interval_index for d in lbica.decisions] == [0, 1, 2]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LbicaConfig(decision_interval_us=0).validate()
         with pytest.raises(ValueError):
             LbicaConfig(confirm_ticks=0).validate()
         with pytest.raises(ValueError):

@@ -112,6 +112,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             _quick_spec({"name": "x", "system": {"cache_blocks": -1}}).validate()
 
+    #: Tick-period keys no scheme config has: every control loop runs a
+    #: whole number of times per monitoring interval, so a period
+    #: override must fail validation rather than be ignored.
+    TICK_PERIOD_PATHS = [
+        "system.lbica.decision_interval_us",
+        "system.sib.check_interval_us",
+        "system.dynshare.decision_interval_us",
+        "system.slosteal.decision_interval_us",
+        "system.partition.report_interval_us",
+    ]
+
+    @pytest.mark.parametrize("path", TICK_PERIOD_PATHS)
+    def test_rejects_tick_period_override(self, path):
+        _, block, key = path.split(".")
+        payload = {"name": "x", "system": {block: {key: 10_000.0}}}
+        with pytest.raises(ScenarioError, match=rf"system\.{block}: .*'{key}'"):
+            ScenarioSpec.from_dict(payload)
+
     @pytest.mark.parametrize(
         "system",
         [

@@ -217,9 +217,11 @@ class TestIostatMonitor:
 
     def test_on_sample_callback(self, sim, ssd, hdd):
         seen = []
-        monitor = IostatMonitor(sim, ssd, hdd, 100.0, on_sample=seen.append)
+        monitor = IostatMonitor(sim, ssd, hdd, 100.0)
+        monitor.add_sample_hook(seen.append)
         monitor.start()
         sim.run(until=250.0)
+        assert seen == monitor.samples
         assert len(seen) == 2
 
 
