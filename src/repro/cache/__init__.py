@@ -8,7 +8,7 @@ falls through to the disk.  This package rebuilds that substrate:
 - :mod:`repro.cache.block` — per-block metadata (valid/dirty bits,
   recency/frequency state).
 - :mod:`repro.cache.replacement` — pluggable LRU / FIFO / CLOCK / LFU
-  victim selection.
+  victim selection; the policy owns the blocks' recency state.
 - :mod:`repro.cache.store` — the set-associative :class:`~repro.cache.store.CacheStore`.
 - :mod:`repro.cache.write_policy` — the WB / WT / RO / WO policies of
   Section III-C plus their routing semantics.

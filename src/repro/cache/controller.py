@@ -270,9 +270,7 @@ class CacheController:
                 not block.dirty,
                 self._sync_done_cb,
             )
-            ssd = self.ssd
-            request.served_by.add(ssd.name)
-            ssd.submit(op)
+            self.ssd.submit(op)
         else:
             stats.read_miss_blocks += 1
             tenant.read_miss_blocks += 1
@@ -286,9 +284,7 @@ class CacheController:
                 False,
                 self._miss_read_done_cb,
             )
-            hdd = self.hdd
-            request.served_by.add(hdd.name)
-            hdd.submit(op)
+            self.hdd.submit(op)
 
     # ------------------------------------------------------------------
     # Reads
@@ -300,7 +296,6 @@ class CacheController:
         stats = self.stats
         lookup = self.store.lookup
         ssd, hdd = self.ssd, self.hdd
-        served_by = request.served_by
         # Every block contributes exactly one synchronous wait, and
         # completions are only ever delivered through the calendar, so
         # the whole request's waits can be credited up front.
@@ -320,7 +315,6 @@ class CacheController:
                     not block.dirty,
                     self._sync_done,
                 )
-                served_by.add(ssd.name)
                 ssd.submit(op)
             else:
                 stats.read_miss_blocks += 1
@@ -335,7 +329,6 @@ class CacheController:
                     False,
                     self._miss_read_done,
                 )
-                served_by.add(hdd.name)
                 hdd.submit(op)
 
     def _miss_read_done(self, op: DeviceOp) -> None:
@@ -378,7 +371,6 @@ class CacheController:
         stats = self.stats
         store = self.store
         ssd, hdd = self.ssd, self.hdd
-        served_by = request.served_by
         sync_done = self._sync_done_cb
         invalidate_on_write = behavior.invalidate_on_write
         cache_writes = behavior.cache_writes
@@ -397,7 +389,6 @@ class CacheController:
                     lba, 1, True, _WRITE, request, True, False, sync_done
                 )
                 request._outstanding += 1  # inlined add_wait()
-                served_by.add(hdd.name)
                 hdd.submit(op)
                 continue
 
@@ -410,7 +401,6 @@ class CacheController:
                         lba, 1, True, _WRITE, request, True, False, sync_done
                     )
                     request._outstanding += 1  # inlined add_wait()
-                    served_by.add(hdd.name)
                     hdd.submit(op)
                     continue
                 _, eviction = store.insert(lba, now, dirty=writes_dirty)
@@ -424,7 +414,6 @@ class CacheController:
                     lba, 1, True, _WRITE, request, True, True, sync_done
                 )
                 request._outstanding += 1  # inlined add_wait()
-                served_by.add(ssd.name)
                 ssd.submit(op)
 
             if writes_through:
@@ -432,7 +421,6 @@ class CacheController:
                     lba, 1, True, _WRITE, request, True, False, sync_done
                 )
                 request._outstanding += 1  # inlined add_wait()
-                served_by.add(hdd.name)
                 hdd.submit(op)
 
     # ------------------------------------------------------------------
@@ -601,7 +589,6 @@ class CacheController:
                         allocator.note_remove(lba)
                 if child.request is not None:
                     child.request.bypassed = True
-                    child.request.served_by.add(self.hdd.name)
             if self._behavior.writes_through:
                 # The disk copy is already being written by the mirror op;
                 # dropping the SSD leg completes it for free.
@@ -613,7 +600,6 @@ class CacheController:
             for child in (op, *op.merged):
                 if child.request is not None:
                     child.request.bypassed = True
-                    child.request.served_by.add(self.hdd.name)
         else:  # pragma: no cover - filtered out by op_redirectable
             raise ValueError(f"cannot redirect {op.tag} op")
         self.hdd.submit(op)

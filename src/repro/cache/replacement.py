@@ -1,8 +1,13 @@
 """Pluggable replacement policies.
 
-Each policy manages the ordering metadata of one cache set.  Sets store
-their blocks in an insertion-ordered ``dict`` (``lba -> CacheBlock``);
-policies reorder or annotate on access and choose a victim on overflow.
+A policy owns the recency state of the store's sets.  Each set is a
+plain insertion-ordered ``dict`` (``lba -> CacheBlock``); on a hit or a
+refreshing re-insert the store calls :meth:`ReplacementPolicy.on_access`,
+and on overflow :meth:`ReplacementPolicy.choose_victim`.  Each policy
+writes only the state it reads: LRU reorders the set, CLOCK sets the
+block's reference bit, LFU counts the hit and stamps its time, and FIFO
+does nothing.  The policies hold no state of their own, so one instance
+serves every set of a store.
 
 Available policies: LRU (EnhanceIO's default), FIFO, CLOCK (second
 chance), and LFU with LRU tie-breaking.  The ablation benchmark sweeps
@@ -26,15 +31,14 @@ __all__ = [
 
 
 class ReplacementPolicy(ABC):
-    """Victim-selection strategy for one cache set."""
+    """Victim-selection strategy, applied to one cache set at a time."""
 
     name: str = "base"
 
-    def on_insert(self, entries: dict[int, CacheBlock], block: CacheBlock) -> None:
-        """Hook invoked after ``block`` is added to ``entries``."""
-
-    def on_access(self, entries: dict[int, CacheBlock], block: CacheBlock) -> None:
-        """Hook invoked on a hit to ``block``."""
+    def on_access(
+        self, entries: dict[int, CacheBlock], block: CacheBlock, now: float
+    ) -> None:
+        """Hook invoked on a hit to ``block`` (or a re-insert) at ``now``."""
 
     @abstractmethod
     def choose_victim(self, entries: dict[int, CacheBlock]) -> int:
@@ -49,10 +53,13 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def on_access(self, entries: dict[int, CacheBlock], block: CacheBlock) -> None:
+    def on_access(
+        self, entries: dict[int, CacheBlock], block: CacheBlock, now: float
+    ) -> None:
         # Re-insert to move the key to the back of the ordered dict.
-        entries.pop(block.lba)
-        entries[block.lba] = block
+        lba = block.lba
+        del entries[lba]
+        entries[lba] = block
 
     def choose_victim(self, entries: dict[int, CacheBlock]) -> int:
         return next(iter(entries))
@@ -72,6 +79,11 @@ class ClockPolicy(ReplacementPolicy):
 
     name = "clock"
 
+    def on_access(
+        self, entries: dict[int, CacheBlock], block: CacheBlock, now: float
+    ) -> None:
+        block.ref = True
+
     def choose_victim(self, entries: dict[int, CacheBlock]) -> int:
         # Two sweeps guarantee a victim: the first clears every ref bit
         # in the worst case, the second then finds ref == False.
@@ -87,6 +99,12 @@ class LfuPolicy(ReplacementPolicy):
     """Least-frequently-used, breaking ties by last access time."""
 
     name = "lfu"
+
+    def on_access(
+        self, entries: dict[int, CacheBlock], block: CacheBlock, now: float
+    ) -> None:
+        block.access_count += 1
+        block.last_access = now
 
     def choose_victim(self, entries: dict[int, CacheBlock]) -> int:
         return min(

@@ -13,7 +13,7 @@ from itertools import compress, islice
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from repro.cache.block import CacheBlock
-from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
+from repro.cache.replacement import make_replacement_policy
 
 __all__ = ["CacheStore", "StoreStats", "EvictionInfo"]
 
@@ -52,16 +52,6 @@ class StoreStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-class _CacheSet:
-    """One associativity set: ordered entries + policy instance."""
-
-    __slots__ = ("entries", "policy")
-
-    def __init__(self, policy: ReplacementPolicy) -> None:
-        self.entries: dict[int, CacheBlock] = {}
-        self.policy = policy
-
-
 class CacheStore:
     """A set-associative map of disk blocks onto the cache device.
 
@@ -71,6 +61,10 @@ class CacheStore:
             evenly; EnhanceIO uses 256-way sets, we default to 8 for
             finer-grained behaviour at simulation scale).
         replacement: Replacement policy name (``lru`` default).
+
+    Each set is a plain ``dict`` (``lba -> CacheBlock``) whose order the
+    store's one replacement policy keeps (least recently used first
+    under LRU); the policy also owns every block's recency fields.
     """
 
     def __init__(
@@ -92,16 +86,21 @@ class CacheStore:
         self.associativity = associativity
         self.num_sets = capacity_blocks // associativity
         self.replacement_name = replacement
-        self._sets = [
-            _CacheSet(make_replacement_policy(replacement))
-            for _ in range(self.num_sets)
-        ]
+        self._policy = make_replacement_policy(replacement)
+        # Bound once: every hit and refreshing re-insert calls it.
+        self._on_access = self._policy.on_access
+        self._sets: list[dict[int, CacheBlock]] = [{} for _ in range(self.num_sets)]
         self.stats = StoreStats()
         self._occupied = 0
         self._dirty = 0
         #: Dirty blocks per set, by set index: ``dirty_blocks`` skips the
         #: sets whose count is zero.
         self._set_dirty = [0] * self.num_sets
+        #: Blocks :meth:`mark_clean` has turned clean so far.  It is the
+        #: only way a resident block becomes clean, so a reader that saw
+        #: a set of blocks all dirty can tell from this count alone
+        #: whether any of them may have turned clean since.
+        self.cleaned = 0
 
     # ------------------------------------------------------------------
     # Addressing
@@ -113,27 +112,24 @@ class CacheStore:
     # ------------------------------------------------------------------
     # Lookup / insert / invalidate
     # ------------------------------------------------------------------
-    def lookup(self, lba: int, now: float, touch: bool = True) -> Optional[CacheBlock]:
-        """Return the cached block for ``lba`` or ``None`` (counts stats)."""
-        cset = self._sets[lba % self.num_sets]
+    def lookup(self, lba: int, now: float) -> Optional[CacheBlock]:
+        """Return the cached block for ``lba`` or ``None`` (counts stats).
+
+        A hit is reported to the replacement policy.
+        """
+        entries = self._sets[lba % self.num_sets]
         stats = self.stats
         stats.lookups += 1
-        block = cset.entries.get(lba)
+        block = entries.get(lba)
         if block is None:
             return None
         stats.hits += 1
-        if touch:
-            # Inlined block.touch(now) — one hit per cache-read block
-            # makes the extra call measurable.
-            block.last_access = now
-            block.access_count += 1
-            block.ref = True
-            cset.policy.on_access(cset.entries, block)
+        self._on_access(entries, block, now)
         return block
 
     def peek(self, lba: int) -> Optional[CacheBlock]:
         """Lookup without stats or recency update."""
-        return self._sets[lba % self.num_sets].entries.get(lba)
+        return self._sets[lba % self.num_sets].get(lba)
 
     def first_clean(self, lbas: Iterable[int], limit: int) -> Optional[int]:
         """The first resident, clean LBA among the first ``limit`` of ``lbas``.
@@ -145,7 +141,7 @@ class CacheStore:
         sets = self._sets
         num_sets = self.num_sets
         for lba in islice(lbas, limit):
-            block = sets[lba % num_sets].entries.get(lba)
+            block = sets[lba % num_sets].get(lba)
             if block is not None and not block.dirty:
                 return lba
         return None
@@ -162,21 +158,20 @@ class CacheStore:
             evicts.
         """
         index = lba % self.num_sets
-        cset = self._sets[index]
-        existing = cset.entries.get(lba)
+        entries = self._sets[index]
+        existing = entries.get(lba)
         if existing is not None:
             if dirty and not existing.dirty:
                 existing.dirty = True
                 self._dirty += 1
                 self._set_dirty[index] += 1
-            existing.touch(now)
-            cset.policy.on_access(cset.entries, existing)
+            self._on_access(entries, existing, now)
             return existing, None
 
         eviction: Optional[EvictionInfo] = None
-        if len(cset.entries) >= self.associativity:
-            victim_lba = cset.policy.choose_victim(cset.entries)
-            victim = cset.entries.pop(victim_lba)
+        if len(entries) >= self.associativity:
+            victim_lba = self._policy.choose_victim(entries)
+            victim = entries.pop(victim_lba)
             if victim.dirty:
                 self._dirty -= 1
                 self._set_dirty[index] -= 1
@@ -186,8 +181,7 @@ class CacheStore:
             eviction = EvictionInfo(victim_lba, victim.dirty)
 
         block = CacheBlock(lba, now, dirty)  # positional: cheaper than a keyword
-        cset.entries[lba] = block
-        cset.policy.on_insert(cset.entries, block)
+        entries[lba] = block
         self._occupied += 1
         if dirty:
             self._dirty += 1
@@ -198,7 +192,7 @@ class CacheStore:
     def invalidate(self, lba: int) -> bool:
         """Drop ``lba`` from the cache; returns whether it was resident."""
         index = lba % self.num_sets
-        block = self._sets[index].entries.pop(lba, None)
+        block = self._sets[index].pop(lba, None)
         if block is None:
             return False
         self._occupied -= 1
@@ -220,12 +214,13 @@ class CacheStore:
             self._set_dirty[lba % self.num_sets] += 1
 
     def mark_clean(self, lba: int) -> None:
-        """Mark a resident block clean (after a flush)."""
+        """Mark a resident block clean (after a flush); counts in :attr:`cleaned`."""
         block = self.peek(lba)
         if block is not None and block.dirty:
             block.dirty = False
             self._dirty -= 1
             self._set_dirty[lba % self.num_sets] -= 1
+            self.cleaned += 1
 
     def dirty_blocks(self, limit: Optional[int] = None) -> list[int]:
         """LBAs of dirty blocks, up to ``limit`` (a ``limit`` of 0 gives one).
@@ -237,8 +232,8 @@ class CacheStore:
         no dirty block are skipped without a look at their entries.
         """
         out: list[int] = []
-        for cset in compress(self._sets, self._set_dirty):
-            for lba, block in cset.entries.items():
+        for entries in compress(self._sets, self._set_dirty):
+            for lba, block in entries.items():
                 if block.dirty:
                     out.append(lba)
                     if limit is not None and len(out) >= limit:
@@ -272,8 +267,8 @@ class CacheStore:
         return self.peek(lba) is not None
 
     def __iter__(self) -> Iterator[CacheBlock]:
-        for cset in self._sets:
-            yield from cset.entries.values()
+        for entries in self._sets:
+            yield from entries.values()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

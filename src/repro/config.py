@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from repro.cache.replacement import make_replacement_policy
 from repro.cache.writeback import WritebackConfig
 from repro.devices.hdd import HddConfig
 from repro.devices.presets import HDD_PRESET, SSD_PRESET
@@ -94,14 +95,36 @@ class SystemConfig:
     obs: ObsConfig = field(default_factory=ObsConfig)
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on inconsistent parameters."""
+        """Raise ``ValueError``, naming the field, on inconsistent parameters.
+
+        Everything the build would reject is checked here, so a bad
+        value fails before anything is built or run.
+        """
         for name in ("interval_us", "rate_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.interval_us <= 0:
             raise ValueError("interval_us must be positive")
         if self.cache_blocks <= 0:
             raise ValueError("cache_blocks must be positive")
+        if self.cache_associativity < 1:
+            raise ValueError("cache_associativity must be >= 1")
+        if self.cache_blocks % self.cache_associativity:
+            raise ValueError(
+                f"cache_associativity ({self.cache_associativity}) must divide "
+                f"cache_blocks ({self.cache_blocks})"
+            )
+        try:
+            make_replacement_policy(self.replacement)
+        except ValueError as exc:
+            raise ValueError(f"replacement: {exc}") from None
+        for name in ("ssd_depth", "hdd_depth", "max_outstanding"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.max_merge_blocks < 0:
+            raise ValueError("max_merge_blocks must be non-negative")
         if self.rate_scale <= 0:
             raise ValueError("rate_scale must be positive")
         if self.drain_intervals < 0:

@@ -106,7 +106,6 @@ class StorageDevice:
         if now > last:
             queue._area += (len(pending) + inflight) * (now - last)
             queue._last_change = now
-        op.enqueue_time = now
         qstats = queue.stats
         qstats.enqueued += 1
         by_tag = qstats.by_tag
@@ -178,11 +177,10 @@ class StorageDevice:
     def _start(self, op: DeviceOp, now: float) -> None:
         """Dispatch ``op`` at ``now``: the only code that starts an op.
 
-        Stamps it, counts it in flight, prices it with the service model
-        and schedules its completion.  ``submit`` calls it for an op that
+        Counts it in flight, prices it with the service model and
+        schedules its completion.  ``submit`` calls it for an op that
         finds the device idle, ``_dispatch`` for each queued op.
         """
-        op.dispatch_time = now
         queue = self.queue
         queue.inflight += 1
         queue.stats.dispatched += 1
@@ -204,7 +202,6 @@ class StorageDevice:
             queue._area += (len(queue.pending) + queue.inflight) * (now - last)
             queue._last_change = now
         queue.inflight -= 1
-        op.complete_time = now
         queue.stats.completed += 1
         # Lifetime counters and the per-direction EWMA latency estimates,
         # updated once per completion.

@@ -374,7 +374,8 @@ class HotPathRule(Rule):
         "CacheController.submit/_do_read/_do_write/_sync_done,\n"
         "CacheStore.lookup, StorageDevice.submit/_dispatch/_start/\n"
         "_complete, SsdModel/HddModel.service_time, _WindowAccum.record,\n"
-        "ExperimentSystem._on_complete) runs millions of times per\n"
+        "ExperimentSystem._on_complete, and the per-IO constructors\n"
+        "Request/DeviceOp/CacheBlock.__init__) runs millions of times per\n"
         "scenario, so every allocation in it is multiplied; _start and\n"
         "each service_time run once per device op.  Inside these\n"
         "functions: no lambdas and no nested defs — schedule a bound\n"
@@ -383,7 +384,14 @@ class HotPathRule(Rule):
         "WritePolicy.WB, WorkloadGroup.MIXED_RW): on Python 3.11 each one\n"
         "goes through the enum metaclass's __getattr__, several times the\n"
         "cost of a global read, so bind the member to a module-level\n"
-        "alias (as cache/controller.py does for the four queue tags)."
+        "alias (as cache/controller.py does for the four queue tags).\n"
+        "The three constructors build one object per request, device op\n"
+        "or cached block, so they allocate nothing else: no set(), dict()\n"
+        "or list() call and no list, dict or set display or comprehension.\n"
+        "Share an immutable empty value until one is needed (DeviceOp's\n"
+        "merged starts as a shared empty tuple), and keep data only a\n"
+        "trace reads out of them: the obs layer notes it from the\n"
+        "devices' transition observers."
     )
 
     _HOT: frozenset[tuple[str, str]] = frozenset(
@@ -410,7 +418,24 @@ class HotPathRule(Rule):
             ("repro.devices.hdd", "HddModel.service_time"),
             ("repro.trace.iostat", "_WindowAccum.record"),
             ("repro.experiments.system", "ExperimentSystem._on_complete"),
+            ("repro.io.request", "Request.__init__"),
+            ("repro.io.request", "DeviceOp.__init__"),
+            ("repro.cache.block", "CacheBlock.__init__"),
         }
+    )
+
+    #: Container constructors flagged in a hot ``__init__`` (the per-IO
+    #: objects' constructors).
+    _CONTAINER_CALLS = frozenset({"set", "dict", "list"})
+
+    #: Container displays and comprehensions flagged there.
+    _CONTAINER_NODES = (
+        ast.List,
+        ast.Dict,
+        ast.Set,
+        ast.ListComp,
+        ast.DictComp,
+        ast.SetComp,
     )
 
     #: The package's enum classes, whose member lookups are flagged.
@@ -434,8 +459,11 @@ class HotPathRule(Rule):
     def _check_body(
         self, ctx: FileContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterator[Violation]:
+        constructor = fn.name == "__init__"
         for stmt in fn.body:
             for node in ast.walk(stmt):
+                if constructor:
+                    yield from self._check_allocation(ctx, node)
                 if isinstance(node, ast.Lambda):
                     yield self.violation(
                         ctx, node, "lambda allocated in a hot-path function"
@@ -457,6 +485,19 @@ class HotPathRule(Rule):
                         f"enum member lookup {node.value.id}.{node.attr} in a "
                         "hot-path function; use a module-level alias",
                     )
+
+    def _check_allocation(self, ctx: FileContext, node: ast.AST) -> Iterator[Violation]:
+        if isinstance(node, self._CONTAINER_NODES):
+            kind = type(node).__name__.lower().replace("comp", " comprehension")
+            yield self.violation(ctx, node, f"{kind} built in a per-IO constructor")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in self._CONTAINER_CALLS
+        ):
+            yield self.violation(
+                ctx, node, f"{node.func.id}() called in a per-IO constructor"
+            )
 
 
 @register_rule

@@ -27,6 +27,7 @@ from repro.io.request import Request
 from repro.schemes.registry import get_scheme, paper_schemes
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.summation import left_sum
 from repro.trace.blktrace import BlkTracer
 from repro.trace.iostat import IntervalSample, IostatMonitor
 from repro.workloads.mail import mail_server_workload
@@ -292,7 +293,8 @@ class RunResult:
     @property
     def mean_latency(self) -> float:
         """Mean application latency over the whole run (µs)."""
-        return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
+        latencies = self.latencies
+        return left_sum(latencies) / len(latencies) if latencies else 0.0
 
     @property
     def completed(self) -> int:

@@ -59,10 +59,15 @@ class Request:
         complete_time: Completion time (µs), or ``-1.0`` while in flight.
         bypassed: Whether a load balancer redirected (part of) this request
             to the disk subsystem.
-        served_by: Device names that served synchronous parts of it.
         tenant_id: Originating VM / tenant (``0`` for single-tenant runs).
-            Multi-tenant workloads stamp this so the cache controller and
-            monitors can break accounting down per VM.
+            A multi-tenant workload binds each VM with its id, and the
+            VM's workload stamps it here at construction, so the cache
+            controller and monitors can break accounting down per VM.
+
+    One is built per application request, so the constructor allocates
+    nothing beyond the object itself.  Which devices served a request is
+    not recorded here: with ``obs.trace`` on, the obs layer derives it
+    from the devices' ``queue`` transitions.
     """
 
     __slots__ = (
@@ -73,7 +78,6 @@ class Request:
         "is_write",
         "complete_time",
         "bypassed",
-        "served_by",
         "tenant_id",
         "_outstanding",
     )
@@ -100,7 +104,6 @@ class Request:
         self.is_write = is_write
         self.complete_time = -1.0
         self.bypassed = False
-        self.served_by: set[str] = set()
         self._outstanding = 0
 
     # -- completion accounting ----------------------------------------
@@ -150,6 +153,13 @@ class DeviceOp:
         stealable: Whether a load balancer may remove this op from the
             queue tail and redirect it (promotions are cancellable; evict
             reads of dirty data are not).
+        on_complete: Called with the op when the device retires it.
+        merged: Ops back-merged into this one (empty until the first).
+
+    An op carries no timestamps: when it was queued, issued and
+    completed is what the device's transition observers see (the obs
+    layer's spans and the blktrace records are built from them), and
+    no untraced result reads it.
     """
 
     __slots__ = (
@@ -161,9 +171,6 @@ class DeviceOp:
         "request",
         "sync",
         "stealable",
-        "enqueue_time",
-        "dispatch_time",
-        "complete_time",
         "on_complete",
         "merged",
     )
@@ -189,9 +196,6 @@ class DeviceOp:
         self.request = request
         self.sync = sync
         self.stealable = stealable
-        self.enqueue_time = -1.0
-        self.dispatch_time = -1.0
-        self.complete_time = -1.0
         self.on_complete = on_complete
         # Merging is rare relative to op creation; sharing one immutable
         # empty tuple until the first absorb avoids a list allocation on
@@ -202,20 +206,6 @@ class DeviceOp:
     def end_lba(self) -> int:
         """One past the last block touched."""
         return self.lba + self.nblocks
-
-    @property
-    def queue_time(self) -> float:
-        """Time spent waiting in the queue before dispatch (µs)."""
-        if self.dispatch_time < 0 or self.enqueue_time < 0:
-            raise RuntimeError(f"op {self.op_id} not dispatched yet")
-        return self.dispatch_time - self.enqueue_time
-
-    @property
-    def service_latency(self) -> float:
-        """Total enqueue-to-completion latency (µs)."""
-        if self.complete_time < 0:
-            raise RuntimeError(f"op {self.op_id} not complete")
-        return self.complete_time - self.enqueue_time
 
     def absorb(self, other: "DeviceOp") -> None:
         """Back-merge ``other`` into this op (completion is chained)."""

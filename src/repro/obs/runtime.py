@@ -9,10 +9,14 @@ Design rules (all enforced here, not in the instrumented layers):
 
 - **No extra simulated events.**  The metrics snapshot rides the
   existing :class:`~repro.trace.iostat.IostatMonitor` tick via its
-  sample-hook list; span emission rides the existing device
-  ``complete`` observers and controller completion hooks.  The event
+  sample-hook list; span emission rides the devices' transition
+  observers and the controller's completion hooks.  The event
   sequence — and therefore ``events_processed`` and every stats
   fingerprint — is identical with telemetry on or off.
+- **Spans are sourced here.**  Requests and device ops carry no
+  span-only fields: the times an op was queued and issued, and the
+  devices that served a request, are recorded by this object's own
+  ``queue``/``issue`` observers, only while tracing is on.
 - **Pull, don't push.**  Per-interval state (queue depths, dirty
   ratio, tenant occupancy, SLO compliance) is read from the layers'
   ``telemetry_snapshot()`` helpers at tick time; nothing in the
@@ -47,6 +51,12 @@ _REQUESTS_PID = 1
 class RunTelemetry:
     """Per-run telemetry: metrics series, lifecycle spans, heartbeat.
 
+    With ``obs.trace`` on, this object is where span data is kept: its
+    own device transition observers note when each op was queued and
+    issued and which devices served each request, since requests and
+    ops carry no span-only fields.  A bypassed request also counts the
+    HDD, as the balancer's redirect does.
+
     Args:
         system: The fully wired :class:`ExperimentSystem` to observe.
         obs: The (already validated) observability switches.
@@ -66,13 +76,18 @@ class RunTelemetry:
         self._horizon_us: Optional[float] = None
         self._wall_run_s = 0.0
         self._slo_seen = 0
+        # Span inputs, filled only while tracing: when each waiting op
+        # was queued, when each op in flight was queued and issued, and
+        # the devices each in-flight request's ops were queued at.
+        self._queued: dict[DeviceOp, float] = {}
+        self._issued: dict[DeviceOp, tuple[float, float]] = {}
+        self._served: dict[Request, set[str]] = {}
 
         system.monitor.add_sample_hook(self._on_sample)
         if self.spans is not None:
             for device in (system.ssd, system.hdd):
-                device.add_transition_observer(
-                    "complete", self._device_observer(device)
-                )
+                for transition, observe in self._device_observers(device):
+                    device.add_transition_observer(transition, observe)
         system.controller.add_completion_hook(self._on_request_complete)
 
     # ------------------------------------------------------------------
@@ -92,43 +107,57 @@ class RunTelemetry:
     # ------------------------------------------------------------------
     # Span sources (registered only when tracing is on)
     # ------------------------------------------------------------------
-    def _device_observer(
+    def _device_observers(
         self, device: Any
-    ) -> "Callable[[DeviceOp], None]":
-        """A ``complete``-transition observer emitting both device spans.
+    ) -> "tuple[tuple[str, Callable[[DeviceOp], None]], ...]":
+        """``(transition, observer)`` pairs that emit both device spans.
 
-        ``DeviceOp`` carries its own ``enqueue``/``dispatch``/``complete``
-        timestamps, so one completion callback reconstructs the queue
-        wait *and* the service span retroactively.
+        The ``queue`` observer notes when the op was queued and at which
+        device its request is served; ``issue`` notes when it started.
+        The ``complete`` observer then emits the queue wait and the
+        service span.  An op stolen from one queue and re-queued at the
+        other (a bypass) waits from its second queueing, as its second
+        ``queue`` note overwrites the first.
         """
         spans = self.spans
         assert spans is not None
-        pid = spans.register_process(device.name)
+        name = device.name
+        pid = spans.register_process(name)
         spans.name_thread(pid, 0, "queue wait")
         spans.name_thread(pid, 1, "service")
+        sim = self.system.sim
+        queued = self._queued
+        issued = self._issued
+        served = self._served
 
-        def observe(op: "DeviceOp") -> None:
+        def on_queue(op: "DeviceOp") -> None:
+            queued[op] = sim.now
+            request = op.request
+            if request is not None:
+                devices = served.get(request)
+                if devices is None:
+                    served[request] = {name}
+                else:
+                    devices.add(name)
+
+        def on_issue(op: "DeviceOp") -> None:
+            issued[op] = (queued.pop(op), sim.now)
+
+        def on_complete(op: "DeviceOp") -> None:
             tag = str(op.tag)
-            dispatch = op.dispatch_time
-            spans.emit(
-                f"{tag} wait",
-                "queue",
-                op.enqueue_time,
-                dispatch - op.enqueue_time,
-                pid,
-                0,
-            )
+            enqueue, dispatch = issued.pop(op)
+            spans.emit(f"{tag} wait", "queue", enqueue, dispatch - enqueue, pid, 0)
             spans.emit(
                 tag,
                 "service",
                 dispatch,
-                op.complete_time - dispatch,
+                sim.now - dispatch,
                 pid,
                 1,
                 {"lba": op.lba, "nblocks": op.nblocks},
             )
 
-        return observe
+        return (("queue", on_queue), ("issue", on_issue), ("complete", on_complete))
 
     def _on_request_complete(self, request: "Request") -> None:
         latency = request.complete_time - request.arrival
@@ -139,7 +168,13 @@ class RunTelemetry:
         if spans is not None:
             tid = request.tenant_id
             spans.name_thread(_REQUESTS_PID, tid, f"tenant {tid}")
-            served = sorted(request.served_by)
+            devices = self._served.pop(request)
+            if request.bypassed:
+                # redirect_to_disk counts a bypassed request as served by
+                # the disk.  Most ops it moves are re-queued there, but a
+                # write-through write's SSD leg is dropped instead.
+                devices.add(self.system.hdd.name)
+            served = sorted(devices)
             spans.emit(
                 "write" if request.is_write else "read",
                 "request",
@@ -166,6 +201,8 @@ class RunTelemetry:
     # ------------------------------------------------------------------
     def _on_sample(self, sample: "IntervalSample") -> None:
         system = self.system
+        if self.spans is not None:
+            self._forget_dequeued_ops()
         events_total = system.sim.events_processed
         events = events_total - self._last_events
         self._last_events = events_total
@@ -237,6 +274,24 @@ class RunTelemetry:
         ):
             self._last_beat = wall_now
             self._heartbeat(sample, events_total, wall_s)
+
+    def _forget_dequeued_ops(self) -> None:
+        """Keep the ``queue`` notes of the ops still waiting in a queue.
+
+        An op merged into another, or stolen from the SSD queue and then
+        cancelled, never completes on its own, so nothing else would
+        drop its note.  Pruned once per interval, the notes stay bounded
+        however long a traced run is.
+        """
+        queued = self._queued
+        system = self.system
+        waiting = {
+            op: queued[op]
+            for device in (system.ssd, system.hdd)
+            for op in device.queue.pending
+        }
+        queued.clear()
+        queued.update(waiting)
 
     def _heartbeat(
         self, sample: "IntervalSample", events_total: int, wall_s: float

@@ -1,12 +1,15 @@
 """Request-lifecycle span recording and Chrome trace-event export.
 
 :class:`SpanTracer` holds completed spans ("X" phase events in the
-Chrome trace-event format) in a bounded buffer.  Because every
-:class:`~repro.io.request.Request` and :class:`~repro.io.request.
-DeviceOp` carries its own timestamps (``arrival`` / ``enqueue_time`` /
-``dispatch_time`` / ``complete_time``), the whole lifecycle is emitted
-*retroactively from completion hooks* — no new instrumentation sits on
-the hot submit/dispatch paths.
+Chrome trace-event format) in a bounded buffer.  Every span is emitted
+*retroactively at completion*: a request span from the controller's
+completion hook (a :class:`~repro.io.request.Request` keeps its
+``arrival`` and ``complete_time``), a device op's queue-wait and service
+spans from the device's ``complete`` observer, using the queue and
+issue times that :class:`~repro.obs.runtime.RunTelemetry`'s own
+transition observers noted.  Requests and ops carry no span-only
+fields, and nothing is added to the hot submit/dispatch paths unless
+tracing is on.
 
 Export targets Perfetto / ``chrome://tracing``: simulated microseconds
 map directly onto the format's ``ts``/``dur`` microsecond fields, so a

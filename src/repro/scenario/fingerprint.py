@@ -6,12 +6,16 @@ code, seed, and config produce the exact same fingerprint (floats
 round-trip exactly through JSON via ``repr``).  The benchmark suite's
 golden files (``benchmarks/golden/``), the CI scenario smoke job, and
 the spec-equivalence tests all pin behavior with these digests — an
-optimization or refactor must keep them bit-identical.
+optimization or refactor must keep them bit-identical.  Float sums are
+:func:`~repro.sim.summation.left_sum` folds, not ``sum()``, whose result
+changed in Python 3.12, so a digest is the same on every interpreter.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
+
+from repro.sim.summation import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.system import RunResult
@@ -31,10 +35,10 @@ def stats_fingerprint(result: "RunResult") -> dict[str, Any]:
         "completed": result.completed,
         "events_processed": result.events_processed,
         "mean_latency": result.mean_latency,
-        "latency_sum": sum(result.latencies),
+        "latency_sum": left_sum(result.latencies),
         "latency_max": max(result.latencies, default=0.0),
-        "read_latency_sum": sum(result.read_latencies),
-        "write_latency_sum": sum(result.write_latencies),
+        "read_latency_sum": left_sum(result.read_latencies),
+        "write_latency_sum": left_sum(result.write_latencies),
         "bypassed_requests": result.bypassed_requests,
         "cache_stats": result.cache_stats,
         "store_stats": result.store_stats,
@@ -42,8 +46,8 @@ def stats_fingerprint(result: "RunResult") -> dict[str, Any]:
         "hdd_queue_stats": result.hdd_queue_stats,
         "workload_stats": result.workload_stats,
         "n_samples": len(result.samples),
-        "cache_load_sum": sum(result.cache_load_series()),
-        "disk_load_sum": sum(result.disk_load_series()),
+        "cache_load_sum": left_sum(result.cache_load_series()),
+        "disk_load_sum": left_sum(result.disk_load_series()),
         "n_policy_log": len(result.policy_log),
         "n_lbica_decisions": (
             len(result.scheme_decisions) if result.scheme == "lbica" else 0

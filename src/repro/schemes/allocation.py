@@ -28,6 +28,17 @@ collisions.
 Blocks inserted outside the controller's accounting (the warm-up
 pre-load) have no owner; their eviction is a no-op here and they never
 count against any quota.
+
+A saturated tenant whose share is all dirty is denied admission after
+admission until the flusher catches up, and rescanning the same oldest
+blocks at each denial would find nothing new.  So the allocator
+remembers a futile scan.  Its answer can only change when the tenant's
+owned set changes (every change is reported through
+:meth:`QuotaAllocator.note_insert`, :meth:`~QuotaAllocator.note_remove`
+or :meth:`~QuotaAllocator.release_tenant`) or when some block turns
+clean (:attr:`CacheStore.cleaned <repro.cache.store.CacheStore.cleaned>`
+counts those).  Owned blocks are always resident, so until one of those
+happens a rescan would return nothing again, and it is skipped.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.cache.store import CacheStore
 from repro.schemes.base import Scheme, SchemeConfigLike
+from repro.sim.summation import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.system import ExperimentSystem
@@ -71,7 +83,7 @@ def proportional_shares(
     padded += [1.0] * (n_tenants - len(padded))
     if any(w <= 0 for w in padded):
         raise ValueError("partition weights must be positive")
-    total = sum(padded)
+    total = left_sum(padded)
     return {
         tid: max(min_share_blocks, int(capacity_blocks * w / total))
         for tid, w in enumerate(padded)
@@ -98,6 +110,10 @@ class QuotaAllocator:
             each admission then frees extra blocks, so the tenant
             converges onto the new share instead of churning above it
             forever, while the per-admission burst stays bounded.
+
+    A scan that finds no clean block is remembered per tenant until its
+    inputs change (see the module docstring), so repeated denials of an
+    all-dirty share cost no rescans.
     """
 
     def __init__(
@@ -124,6 +140,10 @@ class QuotaAllocator:
         self._counts: dict[int, int] = {}
         self.denied: dict[int, int] = {}
         self.recycled: dict[int, int] = {}
+        #: Per tenant whose last recycling scan found no clean block:
+        #: the store's ``cleaned`` count at that scan.  An entry is
+        #: dropped when the tenant's owned set changes.
+        self._futile_scan: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Quotas
@@ -177,14 +197,22 @@ class QuotaAllocator:
         return False
 
     def _recycle_one(self, tenant_id: int) -> bool:
-        """Drop the tenant's oldest clean owned block; ``True`` on success."""
+        """Drop the tenant's oldest clean owned block; ``True`` on success.
+
+        Skips the scan when the tenant's last one found no clean block
+        and neither its owned set nor any block's cleanness has changed.
+        """
         owned = self._owned.get(tenant_id)
         if not owned:
             return False
-        victim = self.store.first_clean(owned, self.recycle_scan_limit)
-        if victim is None:
+        store = self.store
+        if self._futile_scan.get(tenant_id) == store.cleaned:
             return False
-        self.store.invalidate(victim)
+        victim = store.first_clean(owned, self.recycle_scan_limit)
+        if victim is None:
+            self._futile_scan[tenant_id] = store.cleaned
+            return False
+        store.invalidate(victim)
         self.note_remove(victim)
         self.recycled[tenant_id] = self.recycled.get(tenant_id, 0) + 1
         return True
@@ -194,11 +222,14 @@ class QuotaAllocator:
         prev = self._owner.get(lba)
         if prev == tenant_id:
             return
+        futile_scan = self._futile_scan
         if prev is not None:
             self._counts[prev] -= 1
             owned_prev = self._owned.get(prev)
             if owned_prev is not None:
                 owned_prev.pop(lba, None)
+            futile_scan.pop(prev, None)
+        futile_scan.pop(tenant_id, None)
         self._owner[lba] = tenant_id
         self._owned.setdefault(tenant_id, {})[lba] = None
         self._counts[tenant_id] = self._counts.get(tenant_id, 0) + 1
@@ -211,6 +242,7 @@ class QuotaAllocator:
             owned = self._owned.get(tenant)
             if owned is not None:
                 owned.pop(lba, None)
+            self._futile_scan.pop(tenant, None)
 
     def release_tenant(self, tenant_id: int) -> list[int]:
         """Drop a departed tenant's quota and ownership accounting.
@@ -228,6 +260,7 @@ class QuotaAllocator:
             self._owner.pop(lba, None)
         self._counts.pop(tenant_id, None)
         self.quotas.pop(tenant_id, None)
+        self._futile_scan.pop(tenant_id, None)
         return lbas
 
     # ------------------------------------------------------------------

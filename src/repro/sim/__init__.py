@@ -10,6 +10,8 @@ This package provides the timing substrate every other subsystem runs on:
   is independently reproducible from one root seed.
 - :mod:`repro.sim.fastdraw` — decodes a PCG64 stream's draws the way
   ``numpy.random.Generator`` would, for the workloads' arrival path.
+- :mod:`repro.sim.summation` — float sums with the same bits on every
+  Python version, for fingerprints and float totals.
 
 Time is measured in **microseconds** (floats) throughout the project.
 """

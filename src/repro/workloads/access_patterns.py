@@ -13,6 +13,8 @@ from bisect import bisect_right
 
 import numpy as np
 
+from repro.sim.summation import left_sum
+
 __all__ = [
     "AddressPattern",
     "UniformPattern",
@@ -179,7 +181,7 @@ class MixPattern(AddressPattern):
     def __init__(self, components: list[tuple[float, AddressPattern]]) -> None:
         if not components:
             raise ValueError("at least one component required")
-        total = sum(p for p, _ in components)
+        total = left_sum(p for p, _ in components)
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
         self._cut: list[float] = np.cumsum(

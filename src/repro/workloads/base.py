@@ -215,6 +215,10 @@ class Workload:
         self._throttled = False
         self._sim = None
         self._submit: Optional[Callable[[Request], None]] = None
+        #: What bind stamps on every request: the tenant id, and the
+        #: offset of the tenant's LBA region.
+        self._tenant_id = 0
+        self._lba_offset = 0
         # Bound once: every arrival re-arms itself with this callback.
         self._arrive_cb = self._arrive
         #: The draw source bind picked (see the module docstring).
@@ -280,16 +284,26 @@ class Workload:
     # Binding to a simulator
     # ------------------------------------------------------------------
     def bind(
-        self, sim, submit: Callable[[Request], None], rng: np.random.Generator
+        self,
+        sim,
+        submit: Callable[[Request], None],
+        rng: np.random.Generator,
+        tenant_id: int = 0,
+        lba_offset: int = 0,
     ) -> None:
         """Attach to a simulator and start generating arrivals.
 
         ``rng`` must be this workload's own stream: when every phase is
         decodable, a :class:`RawDraws` over its PCG64 bit generator
-        serves the draws and reads ahead of them.
+        serves the draws and reads ahead of them.  Every request is
+        built with ``tenant_id`` and with its address shifted by
+        ``lba_offset``: a multi-tenant composition binds each VM with
+        its id and the start of its LBA region.
         """
         self._sim = sim
         self._submit = submit
+        self._tenant_id = tenant_id
+        self._lba_offset = lba_offset
         self._derived = [
             (
                 phase.write_frac,
@@ -351,7 +365,9 @@ class Workload:
         lba = sample_write(draws) if is_write else sample_read(draws)
         if nblocks is None:
             nblocks = self._draw_size(self.phases[idx])
-        self._deliver(Request(now, lba, nblocks, is_write))
+        self._deliver(
+            Request(now, lba + self._lba_offset, nblocks, is_write, self._tenant_id)
+        )
         sim.schedule(draws.exponential(mean_gap), self._arrive_cb)
 
     def _deliver(self, request: Request) -> None:

@@ -11,7 +11,9 @@ cache:
   accounting down per VM;
 - each VM gets a disjoint LBA region (its own virtual disk) via a fixed
   per-tenant address stride — VMs contend for cache *capacity* and
-  *queue slots*, not for blocks;
+  *queue slots*, not for blocks.  Each VM's workload is bound with its
+  id and region offset and builds its requests with both, so a request
+  reaches the cache controller directly, with no forwarding call;
 - each VM draws arrivals from an independent RNG stream derived
   deterministically from the run's workload stream and the VM's tenant
   index, so appending a tenant never perturbs an existing tenant's
@@ -353,29 +355,21 @@ class MultiTenantWorkload:
         reproducible from the run's root seed, tenants are mutually
         independent, and appending a tenant leaves every existing
         tenant's stream untouched (only the one draw from ``rng``
-        happens regardless of tenant count).
+        happens regardless of tenant count).  Each tenant is bound with
+        its id and LBA region offset, which its requests carry from
+        construction.
         """
         base_seed = int(rng.integers(0, 2**62))
+        stride = self.lba_stride_blocks
         for tid, (child, start_us) in enumerate(
             zip(self.children, self.start_times_us)
         ):
             child_rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=base_seed, spawn_key=(tid,))
             )
-            wrapped = self._wrap_submit(submit, tid)
-            sim.schedule(start_us, child.bind, sim, wrapped, child_rng)
-
-    def _wrap_submit(
-        self, submit: Callable[[Request], None], tenant_id: int
-    ) -> Callable[[Request], None]:
-        offset = tenant_id * self.lba_stride_blocks
-
-        def forward(request: Request) -> None:
-            request.tenant_id = tenant_id
-            request.lba += offset
-            submit(request)
-
-        return forward
+            sim.schedule(
+                start_us, child.bind, sim, submit, child_rng, tid, tid * stride
+            )
 
     def on_request_complete(self, request: Request) -> None:
         """Route the completion back to the owning tenant's backpressure."""

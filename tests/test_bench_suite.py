@@ -9,13 +9,16 @@ trips these tests; a pure performance optimization must keep them green
 
 from __future__ import annotations
 
+import builtins
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from repro.config import quick_config
+from repro.sim.summation import left_sum
 
 _REPO = Path(__file__).resolve().parent.parent
 _GOLDEN_PATH = _REPO / "benchmarks" / "golden" / "suite_quick.json"
@@ -32,6 +35,44 @@ GOLDEN = json.loads(_GOLDEN_PATH.read_text())
 def _normalized(stats: dict) -> dict:
     """Round-trip through JSON so floats/keys compare like the on-disk golden."""
     return json.loads(json.dumps(stats, sort_keys=True))
+
+
+_interpreter_sum = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """``sum()`` as Python 3.12 computes it over ints and floats.
+
+    Ints add exactly up to the first float; from there on, 3.12 adds
+    floats with Neumaier's compensation (gh-100425) and adds the
+    accumulated correction at the end.  Any other input goes to the
+    running interpreter's ``sum``.
+    """
+    items = list(iterable)
+    numbers = (int, float, bool)
+    if type(start) not in numbers or any(type(x) not in numbers for x in items):
+        return _interpreter_sum(items, start)
+    total = start
+    rest = iter(items)
+    if type(total) is int:
+        for x in rest:
+            total = total + x
+            if type(x) is float:
+                break
+        else:
+            return total
+    correction = 0.0
+    for x in rest:
+        x = float(x)
+        t = total + x
+        if abs(total) >= abs(x):
+            correction += (total - t) + x
+        else:
+            correction += (x - t) + total
+        total = t
+    if correction and math.isfinite(correction):
+        total += correction
+    return total
 
 
 class TestGoldenStats:
@@ -51,12 +92,31 @@ class TestGoldenStats:
             "benchmarks/golden/suite_quick.json`"
         )
 
+    def test_golden_matches_under_python312_sum(self, monkeypatch):
+        # The golden must not depend on the interpreter: under 3.12's
+        # compensated sum() every fingerprint field still matches.
+        name = "consolidated3_dynshare"
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        stats = suite.run_scenario(name, quick_config(GOLDEN["seed"]))
+        assert _normalized(stats) == GOLDEN["scenarios"][name]
+
     def test_grid_fanout_stats_match_golden(self):
         # max_workers=2 also regression-checks that the parallel grid stays
         # bit-identical to the serial results the golden was verified against.
         config = quick_config(GOLDEN["seed"])
         stats = suite.run_scenario("grid_fanout", config, jobs=2)
         assert _normalized(stats) == GOLDEN["scenarios"]["grid_fanout"]
+
+
+class TestLeftSum:
+    def test_is_the_uncompensated_fold(self):
+        values = [1e16, 1.0, -1e16]
+        assert left_sum(values) == (1e16 + 1.0) - 1e16 == 0.0
+        assert _compensated_sum(values) == 1.0
+
+    def test_empty_input_gives_int_zero(self):
+        assert left_sum([]) == 0 and type(left_sum([])) is int
+        assert left_sum(iter([2.5])) == 2.5
 
 
 class TestSuitePlumbing:

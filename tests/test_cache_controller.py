@@ -1,10 +1,20 @@
-"""Unit tests for the cache datapath: routing under each write policy."""
+"""Unit tests for the cache datapath: routing under each write policy.
 
+Which devices served a request is read from its request span: with
+``obs.trace`` on, :class:`~repro.obs.runtime.RunTelemetry` records it
+from the devices' transitions (``Request`` keeps no such field).
+"""
+
+from types import SimpleNamespace
+
+import pytest
 
 from repro.cache.controller import CacheController
 from repro.cache.store import CacheStore
 from repro.cache.write_policy import WritePolicy, behavior_for
 from repro.io.request import OpTag, Request
+from repro.obs.config import ObsConfig
+from repro.obs.runtime import RunTelemetry
 
 
 def submit_and_run(sim, controller, lba, nblocks=1, is_write=False):
@@ -12,6 +22,31 @@ def submit_and_run(sim, controller, lba, nblocks=1, is_write=False):
     controller.submit(req)
     sim.run()
     return req
+
+
+@pytest.fixture
+def telemetry(sim, controller):
+    """Span tracing over the bare datapath fixtures (no iostat monitor)."""
+    system = SimpleNamespace(
+        sim=sim,
+        ssd=controller.ssd,
+        hdd=controller.hdd,
+        controller=controller,
+        monitor=SimpleNamespace(add_sample_hook=lambda fn: None),
+    )
+    return RunTelemetry(system, ObsConfig(enabled=True, metrics=False, trace=True))
+
+
+def request_span(telemetry, req):
+    """The args of ``req``'s request span (exactly one must exist)."""
+    [span] = [
+        event
+        for event in telemetry.spans.events
+        if event["cat"] == "request"
+        and event["ts"] == req.arrival
+        and event["args"]["lba"] == req.lba
+    ]
+    return span["args"]
 
 
 class TestPolicyBehaviors:
@@ -33,18 +68,22 @@ class TestPolicyBehaviors:
 
 
 class TestReads:
-    def test_read_hit_served_by_ssd(self, sim, controller, store, ssd, hdd):
+    def test_read_hit_served_by_ssd(self, sim, controller, store, ssd, hdd, telemetry):
         store.insert(10, 0.0)
         req = submit_and_run(sim, controller, 10)
         assert req.done
-        assert req.served_by == {"ssd"}
+        span = request_span(telemetry, req)
+        assert span["served_by"] == ["ssd"] and span["hit"]
         assert ssd.stats.reads == 1
         assert hdd.stats.reads == 0
 
-    def test_read_miss_served_by_hdd_and_promoted(self, sim, controller, store, ssd, hdd):
+    def test_read_miss_served_by_hdd_and_promoted(
+        self, sim, controller, store, ssd, hdd, telemetry
+    ):
         req = submit_and_run(sim, controller, 10)
         assert req.done
-        assert req.served_by == {"hdd"}
+        span = request_span(telemetry, req)
+        assert span["served_by"] == ["hdd"] and not span["hit"]
         assert hdd.stats.reads == 1
         assert 10 in store  # promoted
         assert ssd.queue.stats.by_tag == {OpTag.PROMOTE: 1}
@@ -57,21 +96,24 @@ class TestReads:
         assert 10 not in store
         assert controller.stats.promotes_issued == 0
 
-    def test_multiblock_read_mixed_hit_miss(self, sim, controller, store, ssd, hdd):
+    def test_multiblock_read_mixed_hit_miss(
+        self, sim, controller, store, ssd, hdd, telemetry
+    ):
         store.insert(10, 0.0)
         store.insert(12, 0.0)
         req = submit_and_run(sim, controller, 10, nblocks=4)
         assert req.done
-        assert req.served_by == {"ssd", "hdd"}
+        span = request_span(telemetry, req)
+        assert span["served_by"] == ["hdd", "ssd"] and not span["hit"]
         assert controller.stats.read_hit_blocks == 2
         assert controller.stats.read_miss_blocks == 2
 
 
 class TestWritesWB:
-    def test_write_cached_dirty(self, sim, controller, store, ssd, hdd):
+    def test_write_cached_dirty(self, sim, controller, store, ssd, hdd, telemetry):
         req = submit_and_run(sim, controller, 20, is_write=True)
         assert req.done
-        assert req.served_by == {"ssd"}
+        assert request_span(telemetry, req)["served_by"] == ["ssd"]
         block = store.peek(20)
         assert block is not None and block.dirty
         assert hdd.stats.writes == 0
@@ -92,11 +134,11 @@ class TestWritesWB:
 
 
 class TestWritesWT:
-    def test_write_mirrored_to_both(self, sim, controller, store, ssd, hdd):
+    def test_write_mirrored_to_both(self, sim, controller, store, ssd, hdd, telemetry):
         controller.set_policy(WritePolicy.WT)
         req = submit_and_run(sim, controller, 20, is_write=True)
         assert req.done
-        assert req.served_by == {"ssd", "hdd"}
+        assert request_span(telemetry, req)["served_by"] == ["hdd", "ssd"]
         block = store.peek(20)
         assert block is not None and not block.dirty
 
@@ -110,12 +152,14 @@ class TestWritesWT:
 
 
 class TestWritesRO:
-    def test_write_bypasses_to_hdd_and_invalidates(self, sim, controller, store, ssd, hdd):
+    def test_write_bypasses_to_hdd_and_invalidates(
+        self, sim, controller, store, ssd, hdd, telemetry
+    ):
         store.insert(20, 0.0)
         controller.set_policy(WritePolicy.RO)
         req = submit_and_run(sim, controller, 20, is_write=True)
         assert req.done
-        assert req.served_by == {"hdd"}
+        assert request_span(telemetry, req)["served_by"] == ["hdd"]
         assert 20 not in store
         assert ssd.stats.writes == 0
         assert controller.stats.writes_bypassed == 1
@@ -197,6 +241,31 @@ class TestRedirection:
         assert hdd.queue.stats.enqueued == hdd_writes_before
         sim.run()
         assert r2.done
+
+    def test_redirected_requests_are_served_by_the_disk(
+        self, sim, controller, store, ssd, hdd, telemetry
+    ):
+        # A bypassed read is re-queued at the HDD.  A bypassed WT write
+        # (SIB's redirect) is not: its SSD leg is dropped and the
+        # mirror op serves it.  Both spans name both devices.
+        controller.set_policy(WritePolicy.WT)
+        store.insert(90, 0.0)
+        first = Request(0.0, 70, 1, True)
+        write = Request(0.0, 80, 1, True)
+        read = Request(0.0, 90, 1, False)
+        for req in (first, write, read):
+            controller.submit(req)
+        stolen = ssd.queue.steal_tail(2, 0.0, predicate=controller.op_redirectable)
+        assert [op.request for op in stolen] == [read, write]
+        for op in stolen:
+            controller.redirect_to_disk(op)
+        sim.run()
+        for req in (write, read):
+            span = request_span(telemetry, req)
+            assert span["bypassed"] and not span["hit"]
+            assert span["served_by"] == ["hdd", "ssd"]
+        assert request_span(telemetry, first)["served_by"] == ["hdd", "ssd"]
+        assert not request_span(telemetry, first)["bypassed"]
 
     def test_op_redirectable_rules(self, sim, controller, store):
         from repro.io.request import DeviceOp

@@ -73,13 +73,18 @@ class TestFifo:
         assert dev.qsize == 0
 
     def test_timestamps_recorded(self):
+        # An op carries no timestamps; each transition's observers see
+        # the op at the simulated time of that transition.
         dev = device(service_us=6.0, pause_us=3.0)
+        seen = []
+        for transition in ("queue", "issue", "complete"):
+            dev.add_transition_observer(
+                transition, lambda o, t=transition: seen.append((t, o, dev.sim.now))
+            )
         o = op()
         dev.sim.schedule(1.0, dev.submit, o)
         dev.sim.run()
-        assert o.enqueue_time == 1.0
-        assert o.dispatch_time == 3.0
-        assert o.complete_time == 9.0
+        assert seen == [("queue", o, 1.0), ("issue", o, 3.0), ("complete", o, 9.0)]
 
 
 class TestMerging:

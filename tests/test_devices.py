@@ -289,35 +289,37 @@ class TestStorageDevice:
         events = []
         for transition in ("queue", "issue"):
             dev.add_transition_observer(
-                transition, lambda op, t=transition: events.append((t, op))
+                transition, lambda op, t=transition: events.append((t, op, sim.now))
             )
         sim.run(until=5.0)
         o = read_op()
         dev.submit(o)
-        assert events == [("queue", o), ("issue", o)]
-        assert o.enqueue_time == o.dispatch_time == 5.0
+        assert events == [("queue", o, 5.0), ("issue", o, 5.0)]
         assert dev.queue.inflight == 1 and not dev.queue.pending
         assert dev.queue.stats.dispatched == 1
 
     def test_paused_or_saturated_submit_stays_pending(self):
         sim = Simulator()
+        issued = {}  # op -> simulated time of its issue transition
         paused = StorageDevice(sim, "p", SsdModel(SsdConfig(jitter_sigma=0.0)))
+        paused.add_transition_observer("issue", lambda o: issued.setdefault(o, sim.now))
         paused.pause_dispatch(10.0)
         held = read_op()
         paused.submit(held)
         assert list(paused.queue.pending) == [held]
-        assert held.dispatch_time == -1.0 and paused.queue.inflight == 0
+        assert held not in issued and paused.queue.inflight == 0
 
         full = StorageDevice(sim, "f", SsdModel(SsdConfig(jitter_sigma=0.0)), depth=2)
+        full.add_transition_observer("issue", lambda o: issued.setdefault(o, sim.now))
         first, second, third = read_op(0), read_op(100), read_op(200)
         for o in (first, second, third):
             full.submit(o)
         assert full.queue.inflight == 2
         assert list(full.queue.pending) == [third]
-        assert third.dispatch_time == -1.0
+        assert third not in issued
         sim.run()
-        assert held.dispatch_time == 10.0
-        assert third.dispatch_time > 0.0 and full.queue.stats.completed == 3
+        assert issued[held] == 10.0
+        assert issued[third] > 0.0 and full.queue.stats.completed == 3
 
     def test_observer_sees_all_transitions(self):
         sim = Simulator()

@@ -74,22 +74,6 @@ class TestDeviceOp:
         with pytest.raises(ValueError):
             DeviceOp(0, 0, is_write=False, tag=OpTag.READ)
 
-    def test_queue_time_requires_dispatch(self):
-        op = DeviceOp(0, 1, is_write=False, tag=OpTag.READ)
-        with pytest.raises(RuntimeError):
-            _ = op.queue_time
-        op.enqueue_time = 1.0
-        op.dispatch_time = 4.0
-        assert op.queue_time == 3.0
-
-    def test_service_latency_requires_completion(self):
-        op = DeviceOp(0, 1, is_write=False, tag=OpTag.READ)
-        op.enqueue_time = 1.0
-        with pytest.raises(RuntimeError):
-            _ = op.service_latency
-        op.complete_time = 6.0
-        assert op.service_latency == 5.0
-
 
 class TestMerging:
     def test_contiguous_same_tag_merges(self):

@@ -10,6 +10,7 @@ wall-clock fields are stripped.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,20 @@ from repro.scenario.registry import get_scenario
 from repro.scenario.spec import ScenarioError, ScenarioSpec
 from repro.sim.engine import Simulator
 from repro.store import RunArtifact, RunStore
+
+
+#: sha256 of ``RunTelemetry.write_trace`` for full quick runs of
+#: ``workload/scheme``.  The digests were taken while requests and device
+#: ops still carried their own span fields (``served_by`` and three op
+#: timestamps), so they pin that sourcing spans in the obs layer left
+#: every exported byte as it was.
+TRACE_DIGESTS = {
+    "mail/lbica": "2793bf633afe373e5cdcd43a24da05b436a1f9c7da48edb0f20ef542733c1ef0",
+    "mail/sib": "752e0a5e1686fb2ed06648ebd4bcc08ae4d346160a1d61c4238660d51447e5af",
+    "consolidated3/dynshare": (
+        "74bc7dc8f65c6649c00218be5ab885aef7fd9fa457f08dd44d1f6b65d4af2ead"
+    ),
+}
 
 
 def _short_spec(name: str, horizon: int) -> ScenarioSpec:
@@ -163,6 +178,38 @@ class TestTraceExport:
             assert span["dur"] >= 0
             args = span["args"]
             assert {"tenant", "hit", "bypassed", "served_by"} <= set(args)
+
+    def test_tail_bypass_spans_name_both_devices(self):
+        # mail under lbica moves the SSD queue's tail to the disk: every
+        # bypassed request was queued at the SSD and served by the HDD.
+        spec = ScenarioSpec(name="mail/lbica", workload="mail", base="quick")
+        system, result = _run_with_obs(spec, metrics=False, trace=True)
+        events = system.telemetry.spans.events
+        requests = [e["args"] for e in events if e["pid"] == 1]
+        bypassed = [args for args in requests if args["bypassed"]]
+        assert len(requests) == result.completed
+        assert len(bypassed) == result.bypassed_requests > 0
+        for args in bypassed:
+            assert args["served_by"] == ["hdd", "ssd"] and not args["hit"]
+
+    def test_queue_notes_stay_bounded(self):
+        # Merged ops and cancelled promotions never complete on their
+        # own; each iostat tick keeps only the notes of waiting ops.
+        spec = ScenarioSpec(name="x", workload="mail", scheme="sib", base="quick")
+        system, _ = _run_with_obs(spec, metrics=False, trace=True)
+        assert system.controller.stats.promotes_cancelled > 0
+        assert system.ssd.queue.stats.merged > 0
+        devices = (system.ssd, system.hdd)
+        waiting = {op for device in devices for op in device.queue.pending}
+        assert set(system.telemetry._queued) == waiting
+
+    @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+    def test_trace_bytes_are_pinned(self, name, tmp_path):
+        workload, scheme = name.split("/")
+        spec = ScenarioSpec(name=name, workload=workload, scheme=scheme, base="quick")
+        system, _ = _run_with_obs(spec, metrics=False, trace=True)
+        written = system.telemetry.write_trace(tmp_path / "trace.json")
+        assert hashlib.sha256(written.read_bytes()).hexdigest() == TRACE_DIGESTS[name]
 
     def test_span_tracer_capacity_and_drops(self):
         tracer = SpanTracer(capacity=2)

@@ -98,8 +98,8 @@ def _scan_dirty(store: CacheStore, limit=None) -> list[int]:
     This is the loop ``dirty_blocks`` ran before it kept per-set counts.
     """
     out: list[int] = []
-    for cset in store._sets:
-        for lba, block in cset.entries.items():
+    for entries in store._sets:
+        for lba, block in entries.items():
             if block.dirty:
                 out.append(lba)
                 if limit is not None and len(out) >= limit:
@@ -136,8 +136,8 @@ def test_store_per_set_dirty_counts(ops, repl, limit):
         else:
             store.lookup(lba, now)
 
-        for index, cset in enumerate(store._sets):
-            dirty = sum(block.dirty for block in cset.entries.values())
+        for index, entries in enumerate(store._sets):
+            dirty = sum(block.dirty for block in entries.values())
             assert store._set_dirty[index] == dirty
         assert sum(store._set_dirty) == store.dirty_count
         assert store.dirty_blocks(limit) == _scan_dirty(store, limit)

@@ -112,6 +112,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             _quick_spec({"name": "x", "system": {"cache_blocks": -1}}).validate()
 
+    #: ``system`` values the build would reject, with the key each
+    #: error must name.  They used to pass validation and fail in
+    #: ``build()`` (``max_merge_blocks: -1`` even ran).
+    BAD_SYSTEM_VALUES = [
+        ({"ssd_depth": 0}, "ssd_depth"),
+        ({"ssd_depth": -1}, "ssd_depth"),
+        ({"hdd_depth": 0}, "hdd_depth"),
+        ({"max_outstanding": 0}, "max_outstanding"),
+        ({"max_outstanding": -5}, "max_outstanding"),
+        ({"cache_associativity": 0}, "cache_associativity"),
+        ({"cache_blocks": 12, "cache_associativity": 8}, "cache_associativity"),
+        ({"cache_blocks": 8, "cache_associativity": 16}, "cache_associativity"),
+        ({"replacement": "bogus"}, "replacement"),
+        ({"seed": -1}, "seed"),
+        ({"max_merge_blocks": -1}, "max_merge_blocks"),
+    ]
+
+    @pytest.mark.parametrize(
+        "system,key", BAD_SYSTEM_VALUES, ids=[str(v) for v, _ in BAD_SYSTEM_VALUES]
+    )
+    def test_rejects_system_values_the_build_would(self, system, key):
+        with pytest.raises(ScenarioError, match=rf"scenario 'x': {key}\b"):
+            ScenarioSpec.from_dict({"name": "x", "base": "quick", "system": system})
+
     #: Tick-period keys no scheme config has: every control loop runs a
     #: whole number of times per monitoring interval, so a period
     #: override must fail validation rather than be ignored.

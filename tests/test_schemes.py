@@ -22,6 +22,7 @@ import pytest
 
 from repro.baselines.sib import SibController
 from repro.baselines.wb import WbBaseline
+from repro.cache.store import CacheStore
 from repro.config import quick_config
 from repro.core.lbica import LbicaController
 from repro.experiments.runner import ExperimentRunner
@@ -198,6 +199,62 @@ class TestQuotaAllocator:
         store.mark_clean(7)
         assert allocator.admit(0, 11)
         assert allocator.recycled == {0: 1}
+
+    @staticmethod
+    def _all_dirty_tenant(quota, owned, clean=()):
+        """Tenant 0 owning ``owned`` blocks, all dirty except ``clean``.
+
+        A 256-way store keeps every block resident; the default scan
+        covers the oldest 64 owned blocks.
+        """
+        store = CacheStore(256, associativity=256)
+        allocator = QuotaAllocator(store, default_quota_blocks=quota)
+        for lba in range(owned):
+            store.insert(lba, 0.0, dirty=lba not in clean)
+            allocator.note_insert(0, lba)
+        return store, allocator
+
+    def test_repeated_denials_scan_once(self, monkeypatch):
+        # With nothing changing, a futile scan is not repeated: 100
+        # denied admissions make one first_clean call, not 100.
+        store, allocator = self._all_dirty_tenant(quota=64, owned=64)
+        calls = []
+        scan = store.first_clean
+
+        def counted_scan(lbas, limit):
+            calls.append(limit)
+            return scan(lbas, limit)
+
+        monkeypatch.setattr(store, "first_clean", counted_scan)
+        for lba in range(1000, 1100):
+            assert not allocator.admit(0, lba)
+        assert calls == [64]
+        assert allocator.denied == {0: 100} and allocator.recycled == {}
+
+    def test_mark_clean_ends_a_futile_scan_record(self):
+        store, allocator = self._all_dirty_tenant(quota=64, owned=64)
+        assert not allocator.admit(0, 1000)
+        store.mark_clean(40)
+        assert allocator.admit(0, 1000)
+        assert store.peek(40) is None and allocator.recycled == {0: 1}
+
+    def test_owned_set_changes_end_a_futile_scan_record(self):
+        # Block 64 is clean but outside the 64-block scan window; above
+        # quota, a removal from the window moves it in.
+        store, allocator = self._all_dirty_tenant(quota=60, owned=65, clean={64})
+        assert not allocator.admit(0, 1000)
+        store.invalidate(3)
+        allocator.note_remove(3)
+        assert allocator.admit(0, 1000)
+        assert store.peek(64) is None and allocator.recycled == {0: 1}
+        # Under 64 owned blocks, a newly owned clean block lands in the
+        # window: an ownerless resident block the tenant re-inserts.
+        store, allocator = self._all_dirty_tenant(quota=3, owned=3)
+        store.insert(50, 0.0)
+        assert not allocator.admit(0, 1000)
+        allocator.note_insert(0, 50)
+        assert allocator.admit(0, 1000)
+        assert store.peek(50) is None and allocator.recycled == {0: 1}
 
     def test_remove_frees_quota(self, store):
         allocator = QuotaAllocator(store, default_quota_blocks=1)

@@ -11,7 +11,7 @@ exercised against a real controller with a duck-typed workload.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.controller import CacheController
@@ -255,6 +255,135 @@ def test_share_redistribution_conserves_capacity(departures):
         if scheme.shares:
             assert sum(scheme.shares.values()) == total
         assert scheme.allocator.quotas == scheme.shares
+
+
+class _ScanEveryTime:
+    """Reference quota admission that scans for a clean victim every time.
+
+    It follows the admission rules of :class:`QuotaAllocator` and keeps
+    no memory of earlier scans, so the allocator's record of a futile
+    scan must never change an outcome against it.
+    """
+
+    def __init__(self, store: CacheStore, quotas: dict[int, int]) -> None:
+        self.store = store
+        self.quotas = quotas
+        self.owned: dict[int, dict[int, None]] = {}
+        self.denied: dict[int, int] = {}
+        self.recycled: dict[int, int] = {}
+
+    def note_insert(self, tenant: int, lba: int) -> None:
+        if lba not in self.owned.get(tenant, {}):
+            self.note_remove(lba)
+            self.owned.setdefault(tenant, {})[lba] = None
+
+    def note_remove(self, lba: int) -> None:
+        for owned in self.owned.values():
+            owned.pop(lba, None)
+
+    def admit(self, tenant: int, lba: int) -> bool:
+        if self.store.peek(lba) is not None:
+            return True
+        owned = self.owned.get(tenant, {})
+        quota = self.quotas[tenant]
+        if len(owned) < quota:
+            return True
+        want = min(len(owned) - quota + 1, _DRAIN_LIMIT)
+        freed = 0
+        while freed < want:
+            window = list(owned)[:_SCAN_LIMIT]
+            clean = [b for b in window if not self.store.peek(b).dirty]
+            if not clean:
+                break
+            self.store.invalidate(clean[0])
+            self.note_remove(clean[0])
+            self.recycled[tenant] = self.recycled.get(tenant, 0) + 1
+            freed += 1
+        if freed:
+            return True
+        self.denied[tenant] = self.denied.get(tenant, 0) + 1
+        return False
+
+
+_SCAN_LIMIT = 2
+_DRAIN_LIMIT = 2
+
+#: (action, tenant, value): an insert or bare admission of the tenant's
+#: block ``value``, a mark_clean or invalidate of any block, or a new
+#: quota of ``value % 4`` blocks.
+scan_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert", "insert_dirty", "admit", "mark_clean", "invalidate", "quota"]
+        ),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=11),
+    ),
+    max_size=120,
+)
+
+#: Always run: a denial, a flush of a scanned block, the admission again.
+DENY_FLUSH_ADMIT = [
+    ("insert_dirty", 0, 0),
+    ("insert_dirty", 0, 1),
+    ("insert_dirty", 0, 2),
+    ("admit", 0, 5),
+    ("admit", 0, 6),
+    ("mark_clean", 0, 1),
+    ("admit", 0, 5),
+]
+
+
+def _step(store, alloc, now, action, tenant, value):
+    """Apply one op the way the controller does; returns what it decided."""
+    lba = tenant * 12 + value
+    if action == "quota":
+        alloc.quotas[tenant] = value % 4
+        return None
+    if action == "mark_clean":
+        store.mark_clean(value * 2)
+        return None
+    if action == "invalidate":
+        if store.invalidate(value * 2):
+            alloc.note_remove(value * 2)
+        return None
+    resident = {block.lba for block in store}
+    admitted = alloc.admit(tenant, lba)
+    victims = sorted(resident - {block.lba for block in store})
+    if admitted and action != "admit":
+        _, eviction = store.insert(lba, now, dirty=action == "insert_dirty")
+        alloc.note_insert(tenant, lba)
+        if eviction is not None:
+            alloc.note_remove(eviction.lba)
+    return admitted, victims
+
+
+@given(ops=scan_ops)
+@example(ops=DENY_FLUSH_ADMIT)
+@settings(max_examples=80, deadline=None)
+def test_futile_scan_record_changes_no_admission(ops):
+    """Every admission, recycled victim and denied/recycled count of the
+    allocator equals a reference that rescans on every admission."""
+    store = CacheStore(16, associativity=4)
+    alloc = QuotaAllocator(
+        store,
+        default_quota_blocks=3,
+        recycle_scan_limit=_SCAN_LIMIT,
+        drain_limit=_DRAIN_LIMIT,
+    )
+    alloc.set_quotas({0: 3, 1: 3})
+    ref_store = CacheStore(16, associativity=4)
+    ref = _ScanEveryTime(ref_store, {0: 3, 1: 3})
+    now = 0.0
+    for action, tenant, value in ops:
+        now += 1.0
+        got = _step(store, alloc, now, action, tenant, value)
+        assert got == _step(ref_store, ref, now, action, tenant, value)
+        assert alloc.denied == ref.denied
+        assert alloc.recycled == ref.recycled
+        assert [(b.lba, b.dirty) for b in store] == [
+            (b.lba, b.dirty) for b in ref_store
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ RULE_FIXTURES = [
     ("sl006", "repro.experiments.fixture", "SL006"),
     ("sl007", "repro.sim.engine", "SL007"),
     ("sl007_enum", "repro.cache.controller", "SL007"),
+    ("sl007_alloc", "repro.io.request", "SL007"),
     ("sl008", "repro.campaign.fixture", "SL008"),
     ("sl009", "benchmarks.suite", "SL009"),
     ("sl010", "repro.sim.engine", "SL010"),
@@ -111,6 +112,19 @@ def test_sl007_flags_enum_member_lookups_in_hot_functions():
     ]
     # the same methods outside a hot-path module are not checked
     assert lint_source(bad, module="repro.cache.fixture") == []
+
+
+def test_sl007_flags_containers_in_per_io_constructors():
+    bad = (FIXTURES / "sl007_alloc_bad.py").read_text()
+    violations = lint_source(bad, module="repro.io.request")
+    assert sorted(v.message for v in violations) == [
+        "dict built in a per-IO constructor",
+        "list built in a per-IO constructor",
+        "list comprehension built in a per-IO constructor",
+        "set() called in a per-IO constructor",
+    ]
+    # the same constructors outside the per-IO modules are not checked
+    assert lint_source(bad, module="repro.io.fixture") == []
 
 
 def test_sl010_guarded_conditional_expression():
