@@ -42,12 +42,17 @@ def main() -> None:
     print(f"Saved {count} records to {trace_path} ({size_kib:.0f} KiB)")
 
     # -- replay ----------------------------------------------------------
-    # load_trace materializes; for production-scale traces stream instead:
+    # load_trace reads the whole file into a list, which the replay sorts
+    # and counts up front; for production-scale traces pass a generator:
     #   ReplayWorkload(iter_trace(trace_path), duration_us=...)
     # pulls records in constant memory (see docs/TRACES.md).
     parsed = load_trace(trace_path)
     replay = ReplayWorkload(parsed)
-    print(f"Replaying {len(replay.records)} application arrivals under LBICA...")
+    skipped = replay.stats.skipped
+    print(
+        f"Replaying {len(parsed) - skipped} application arrivals "
+        f"({skipped} other block-layer records skipped) under LBICA..."
+    )
 
     replay_system = ExperimentSystem(replay, "lbica", config)
     replay_result = replay_system.run()

@@ -64,6 +64,7 @@ class TenantStats:
     completed: int = 0
     bypassed: int = 0
     total_latency: float = 0.0
+    max_latency: float = 0.0
 
     @property
     def read_hit_ratio(self) -> float:
@@ -627,6 +628,8 @@ class CacheController:
                 tenant = tenants[request.tenant_id] = TenantStats()
             tenant.completed += 1
             tenant.total_latency += latency
+            if latency > tenant.max_latency:
+                tenant.max_latency = latency
             if request.bypassed:
                 tenant.bypassed += 1
             for hook in self._completion_hooks:

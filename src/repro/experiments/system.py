@@ -264,11 +264,9 @@ class RunResult:
     scheme_decisions: list = field(default_factory=list)
     #: Scheme-specific summary counters (``Scheme.summary_stats()``).
     scheme_stats: dict = field(default_factory=dict)
-    #: Per-VM latency populations, keyed by ``tenant_id`` (single-tenant
-    #: runs have everything under tenant 0).
-    tenant_latencies: dict[int, list[float]] = field(default_factory=dict)
-    #: Per-VM breakdown: completed / mean_latency / read_hit_ratio /
-    #: bypassed / reads / writes per tenant.
+    #: Per-VM breakdown, keyed by ``tenant_id`` (single-tenant runs
+    #: have everything under tenant 0): completed / mean_latency /
+    #: max_latency / read_hit_ratio / bypassed / reads / writes.
     tenant_stats: dict[int, dict] = field(default_factory=dict)
     #: Per-interval SLO compliance samples (plain dicts; empty for runs
     #: without declared SLO targets).
@@ -446,7 +444,6 @@ class ExperimentSystem:
         self._latencies: list[float] = []
         self._read_latencies: list[float] = []
         self._write_latencies: list[float] = []
-        self._tenant_latencies: dict[int, list[float]] = {}
         self.controller.add_completion_hook(self._on_complete)
         self.controller.add_completion_hook(self.monitor.record_completion)
         self.controller.add_completion_hook(self.workload.on_request_complete)
@@ -505,10 +502,6 @@ class ExperimentSystem:
             self._write_latencies.append(lat)
         else:
             self._read_latencies.append(lat)
-        tenant_lats = self._tenant_latencies.get(request.tenant_id)
-        if tenant_lats is None:
-            tenant_lats = self._tenant_latencies[request.tenant_id] = []
-        tenant_lats.append(lat)
 
     # ------------------------------------------------------------------
     def warm_cache(self) -> int:
@@ -564,11 +557,10 @@ class ExperimentSystem:
         wl_stats = getattr(self.workload, "stats", None)
         tenant_stats: dict[int, dict] = {}
         for tid, ts in sorted(stats.tenants.items()):
-            lats = self._tenant_latencies.get(tid, [])
             tenant_stats[tid] = {
                 "completed": ts.completed,
                 "mean_latency": ts.mean_latency,
-                "max_latency": max(lats, default=0.0),
+                "max_latency": ts.max_latency,
                 "read_hit_ratio": ts.read_hit_ratio,
                 "bypassed": ts.bypassed,
                 "reads": ts.reads,
@@ -618,10 +610,6 @@ class ExperimentSystem:
             scheme_decisions=list(self.balancer.decision_log()),
             scheme_stats=self.balancer.summary_stats(),
             events_processed=self.sim.events_processed,
-            tenant_latencies={
-                tid: list(lats)
-                for tid, lats in sorted(self._tenant_latencies.items())
-            },
             tenant_stats=tenant_stats,
             slo_series=(
                 [s.as_dict() for s in self.slo_monitor.samples]

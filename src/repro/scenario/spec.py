@@ -246,7 +246,10 @@ class ScenarioSpec:
             except ValueError as exc:
                 raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
         elif isinstance(self.workload, Mapping):
-            self._build_workload(config)  # raises SpecError on bad specs
+            try:
+                self._build_workload(config)
+            except ValueError as exc:  # the workload layer's SpecError
+                raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
         else:
             raise ScenarioError(
                 f"scenario {self.name!r}: workload must be a registered name "

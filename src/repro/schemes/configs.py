@@ -113,8 +113,15 @@ class LbicaConfig:
         for name in ("margin", "min_cache_qtime_us"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.revert_after_quiet is not None and self.revert_after_quiet <= 0:
-            raise ValueError("revert_after_quiet must be positive when set")
+        if self.margin < 1.0:
+            raise ValueError("margin must be >= 1.0")
+        if self.min_cache_qtime_us < 0:
+            raise ValueError("min_cache_qtime_us must be non-negative")
+        if self.max_bypass_per_round <= 0:
+            raise ValueError("max_bypass_per_round must be positive")
+        quiet = self.revert_after_quiet
+        if quiet is not None and (type(quiet) is not int or quiet <= 0):
+            raise ValueError("revert_after_quiet must be a positive int when set")
         if self.confirm_ticks < 1:
             raise ValueError("confirm_ticks must be >= 1")
         self.characterizer.validate()
@@ -148,8 +155,10 @@ class PartitionConfig:
             raise ValueError(
                 f"partition variant must be one of {_VARIANTS}, got {self.variant!r}"
             )
-        if not all(0 < w < math.inf for w in self.weights):
-            raise ValueError("partition weights must be positive and finite")
+        if not isinstance(self.weights, list) or not all(
+            isinstance(w, (int, float)) and 0 < w < math.inf for w in self.weights
+        ):
+            raise ValueError("weights must be a list of positive and finite numbers")
         if self.min_share_blocks < 1:
             raise ValueError("min_share_blocks must be >= 1")
 

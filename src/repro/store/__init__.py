@@ -7,8 +7,7 @@
 - :mod:`repro.store.run_store` — :class:`RunKey` (the content address:
   scenario canonical key + :class:`~repro.config.SystemConfig` digest +
   store schema version) and :class:`RunStore` (atomic writes under
-  ``runs/`` with an index file, corruption detection, schema-version
-  refusal).
+  ``runs/``, corruption detection, schema-version refusal).
 
 The store is what makes experiment campaigns resumable: a key is fully
 determined by *what would be simulated*, so a re-run of the same

@@ -3,7 +3,6 @@
 Layout (everything JSON, everything human-inspectable)::
 
     <root>/
-    ├── index.json            digest -> {name, workload, scheme, created_at}
     └── runs/
         └── <sha256>.json     one envelope per stored run
 
@@ -27,11 +26,9 @@ Durability rules:
 - **Schema refusal** — an envelope written by a different store schema
   raises :class:`SchemaMismatchError` instead of being silently
   misread.
-- **Index is a cache** — ``runs/`` is the source of truth;
-  ``index.json`` only accelerates listings.  Concurrent writers may
-  race its read-modify-write, but :meth:`RunStore.get` and
-  :meth:`RunStore.digests` never consult it, and :meth:`RunStore.reindex`
-  rebuilds it from the files.
+- **No shared index** — ``runs/`` is the whole store: a listing scans
+  it (:meth:`RunStore.digests`), so concurrent writers touch only their
+  own files and never race a read-modify-write.
 """
 
 from __future__ import annotations
@@ -193,7 +190,6 @@ class RunStore:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.runs_dir = self.root / "runs"
-        self.index_path = self.root / "index.json"
         self.runs_dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -212,7 +208,7 @@ class RunStore:
         return self.path_for(key).is_file()
 
     def digests(self) -> list[str]:
-        """Every stored digest, sorted (scans ``runs/`` — never the index)."""
+        """Every stored digest, sorted (scans ``runs/``)."""
         return sorted(p.stem for p in self.runs_dir.glob("*.json"))
 
     # ------------------------------------------------------------------
@@ -271,25 +267,6 @@ class RunStore:
             )
         return artifact
 
-    def load_all(self, on_error: str = "raise") -> dict[str, RunArtifact]:
-        """Every stored artifact by digest.
-
-        Args:
-            on_error: ``"raise"`` propagates the first corrupt file;
-                ``"skip"`` silently drops unreadable artifacts (campaign
-                status enumerates them separately).
-        """
-        if on_error not in ("raise", "skip"):
-            raise ValueError("on_error must be 'raise' or 'skip'")
-        out: dict[str, RunArtifact] = {}
-        for digest in self.digests():
-            try:
-                out[digest] = self.get(digest)
-            except StoreError:
-                if on_error == "raise":
-                    raise
-        return out
-
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
@@ -321,79 +298,12 @@ class RunStore:
             self.path_for(digest),
             json.dumps(envelope, indent=1, sort_keys=True) + "\n",
         )
-        self._index_add(digest, artifact)
         return digest
 
     def _atomic_write(self, path: Path, text: str) -> None:
         tmp = path.parent / f".tmp-{os.getpid()}-{path.name}"
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
-
-    # ------------------------------------------------------------------
-    # Index (an acceleration cache over runs/)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _index_entry(artifact: RunArtifact) -> dict[str, Any]:
-        return {
-            "name": artifact.name,
-            "workload": artifact.workload,
-            "scheme": artifact.scheme,
-            "created_at": artifact.provenance.get("created_at"),
-        }
-
-    def _load_index(self) -> dict[str, dict[str, Any]]:
-        try:
-            index = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {}
-        entries = index.get("entries") if isinstance(index, dict) else None
-        return entries if isinstance(entries, dict) else {}
-
-    def _write_index(self, entries: dict[str, dict[str, Any]]) -> None:
-        self._atomic_write(
-            self.index_path,
-            json.dumps(
-                {"schema_version": SCHEMA_VERSION, "entries": entries},
-                indent=1,
-                sort_keys=True,
-            )
-            + "\n",
-        )
-
-    def _index_add(self, digest: str, artifact: RunArtifact) -> None:
-        entries = self._load_index()
-        entries[digest] = self._index_entry(artifact)
-        self._write_index(entries)
-
-    def entries(self) -> dict[str, dict[str, Any]]:
-        """The index view (digest → name/workload/scheme/created_at).
-
-        Self-healing: any stored digest missing from the index (lost to
-        a concurrent-writer race or a deleted index file) triggers a
-        rebuild from the artifact files.
-        """
-        entries = self._load_index()
-        if set(entries) != set(self.digests()):
-            entries, _ = self.reindex()
-        return entries
-
-    def reindex(self) -> tuple[dict[str, dict[str, Any]], dict[str, str]]:
-        """Rebuild ``index.json`` from the artifact files.
-
-        Returns:
-            ``(entries, problems)`` — the rebuilt index plus
-            ``{digest: error}`` for artifacts that failed verification
-            (corrupt/foreign-schema files are reported, never indexed).
-        """
-        entries: dict[str, dict[str, Any]] = {}
-        problems: dict[str, str] = {}
-        for digest in self.digests():
-            try:
-                entries[digest] = self._index_entry(self.get(digest))
-            except StoreError as exc:
-                problems[digest] = str(exc)
-        self._write_index(entries)
-        return entries, problems
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RunStore({str(self.root)!r}, {len(self.digests())} runs)"

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from repro.io.request import Request
+from repro.sim.fastdraw import replication_verified
 from repro.workloads.base import Workload, WorkloadStats
 from repro.workloads.bootstorm import boot_storm_workload
 from repro.workloads.mail import mail_server_workload
@@ -358,7 +359,12 @@ class MultiTenantWorkload:
         happens regardless of tenant count).  Each tenant is bound with
         its id and LBA region offset, which its requests carry from
         construction.
+
+        The tenants bind from scheduled events, so the once-per-process
+        draw self-check their binds consult runs here, in set-up, rather
+        than inside the event loop.
         """
+        replication_verified()
         base_seed = int(rng.integers(0, 2**62))
         stride = self.lba_stride_blocks
         for tid, (child, start_us) in enumerate(

@@ -55,10 +55,11 @@ top-level ``churn`` block (``seed``, ``arrive_window_intervals``,
 not declare explicit times.  See :mod:`repro.service`.
 
 A third form replays a **trace file** instead of generating arrivals: a
-spec with a ``trace`` section builds a streaming
+spec with a ``trace`` section builds a
 :class:`~repro.workloads.replay.ReplayWorkload` — the file is read
 lazily through a format adapter, optionally reshaped by trace
-operators, and optionally cloned into N interleaved tenants::
+operators (the only way to change timestamps), and optionally cloned
+into N interleaved tenants::
 
     {
       "name": "prod_replay",
@@ -445,7 +446,7 @@ def _replay_from_spec(spec: Mapping[str, Any]) -> Any:
     registered, and every operator spec must compile — so a bad scenario
     fails at build time, not thousands of simulated microseconds in.
     The trace file itself stays unread until the run pulls its first
-    chunk (streaming is preserved).
+    chunk.
     """
     from repro.trace.adapters import get_adapter
     from repro.trace.operators import compile_operator, lba_shift
@@ -464,9 +465,6 @@ def _replay_from_spec(spec: Mapping[str, Any]) -> Any:
             "operators",
             "interleave",
             "lba_stride_blocks",
-            "time_scale",
-            "streaming",
-            "chunk_records",
             "duration_us",
         },
         "trace",
@@ -492,11 +490,6 @@ def _replay_from_spec(spec: Mapping[str, Any]) -> Any:
     stride = int(trace.get("lba_stride_blocks", 0))
     if stride < 0:
         raise SpecError("trace: lba_stride_blocks must be non-negative")
-    streaming = trace.get("streaming")
-    if streaming is not None:
-        streaming = bool(streaming)
-    if tenants > 1 and streaming is False:
-        raise SpecError("trace: interleaved replay is always streaming")
 
     def stream(tenant: int):
         recs = iter_trace(path, adapter=adapter)
@@ -506,17 +499,12 @@ def _replay_from_spec(spec: Mapping[str, Any]) -> Any:
             recs = lba_shift(recs, tenant * stride)
         return recs
 
-    kwargs: dict[str, Any] = {
-        "time_scale": float(trace.get("time_scale", 1.0)),
-        "name": str(spec.get("name", "trace_replay")),
-    }
-    if "chunk_records" in trace:
-        kwargs["chunk_records"] = int(trace["chunk_records"])
+    kwargs: dict[str, Any] = {"name": str(spec.get("name", "trace_replay"))}
     if "duration_us" in trace:
         kwargs["duration_us"] = float(trace["duration_us"])
     try:
         if tenants == 1:
-            return ReplayWorkload(stream(0), streaming=streaming, **kwargs)
+            return ReplayWorkload(stream(0), **kwargs)
         return ReplayWorkload(
             streams=[stream(t) for t in range(tenants)], **kwargs
         )
@@ -544,8 +532,8 @@ def workload_from_spec(
         rate_scale: Multiplier applied to every phase's arrival rate (and
             composed with per-tenant rate scales) — the run-level knob
             :class:`~repro.config.SystemConfig` carries.  Ignored by the
-            ``trace`` form (replay timestamps are authoritative; use the
-            trace section's ``time_scale`` / operators instead).
+            ``trace`` form (replay timestamps are authoritative; use a
+            ``time_compress`` operator instead).
         max_outstanding: Default application concurrency bound when the
             spec does not set its own ``max_outstanding``.  Ignored by
             the ``trace`` form (replay never throttles).

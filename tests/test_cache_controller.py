@@ -242,6 +242,30 @@ class TestRedirection:
         sim.run()
         assert r2.done
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="redirect_to_disk judges a stolen write by the current "
+        "policy: a write issued under WB has no HDD mirror op, yet after a "
+        "switch to a write-through policy it completes at once and no "
+        "device ever writes it (LBICA's tail bypass under RO reaches this)",
+    )
+    @pytest.mark.parametrize("policy", [WritePolicy.RO, WritePolicy.WT])
+    def test_write_issued_under_wb_reaches_the_disk(
+        self, sim, controller, ssd, hdd, policy
+    ):
+        first = Request(0.0, 70, 1, True)
+        second = Request(0.0, 80, 1, True)
+        controller.submit(first)
+        controller.submit(second)  # queues behind the first (depth 1)
+        controller.set_policy(policy)
+        stolen = ssd.queue.steal_tail(1, 0.0, predicate=controller.op_redirectable)
+        assert [op.request for op in stolen] == [second]
+        controller.redirect_to_disk(stolen[0])
+        sim.run()
+        assert second.done
+        assert hdd.stats.writes == 1
+        assert second.complete_time - second.arrival > 0
+
     def test_redirected_requests_are_served_by_the_disk(
         self, sim, controller, store, ssd, hdd, telemetry
     ):

@@ -97,10 +97,10 @@ class TestPerTenantAccounting:
 
     def test_tenant_latencies_sum_to_aggregate(self, consolidated_result):
         res = consolidated_result
-        merged = sorted(
-            lat for lats in res.tenant_latencies.values() for lat in lats
-        )
-        assert merged == sorted(res.latencies)
+        stats = res.tenant_stats.values()
+        assert sum(ts["completed"] for ts in stats) == len(res.latencies)
+        assert max(ts["max_latency"] for ts in stats) == max(res.latencies)
+        assert all(ts["max_latency"] > 0 for ts in stats)
 
     def test_tenant_bypassed_sum_to_aggregate(self, consolidated_result):
         res = consolidated_result
@@ -292,6 +292,23 @@ class TestRngDerivation:
         three = self._arrivals(3, seed=9)
         assert two[0] == three[0]
         assert two[1] == three[1]
+
+    def test_draw_self_check_runs_at_bind(self, monkeypatch):
+        """Tenants bind from scheduled events, so the once-per-process
+        draw self-check runs in the composition's bind, before the event
+        loop starts."""
+        from repro.sim import fastdraw
+        from repro.sim.engine import Simulator
+
+        import numpy as np
+
+        monkeypatch.setattr(fastdraw, "_verified", None)
+        sim = Simulator()
+        consolidated3_workload(15_000.0).bind(
+            sim, lambda r: None, np.random.default_rng(1)
+        )
+        assert sim.events_processed == 0
+        assert fastdraw._verified is not None
 
 
 class TestRequestTenantId:

@@ -1,6 +1,8 @@
-"""Tests for streaming trace replay: chunked scheduling, equivalence, edges."""
+"""Tests for trace replay: chunked scheduling, equivalence, edges."""
 
 import pytest
+
+import repro.workloads.replay as replay_mod
 
 from repro.config import quick_config
 from repro.experiments.system import ExperimentSystem
@@ -8,6 +10,7 @@ from repro.io.request import OpTag
 from repro.scenario.fingerprint import stats_fingerprint
 from repro.sim.engine import Simulator
 from repro.trace.parser import TraceParseError, iter_trace
+from repro.trace.operators import time_compress
 from repro.trace.records import TraceRecord
 from repro.trace.synth import synthetic_trace
 from repro.workloads.replay import CHUNK_RECORDS, ReplayWorkload
@@ -19,20 +22,44 @@ def rec(time, lba=0, n=1, is_write=False, action="Q", tag=None, op_id=0):
     return TraceRecord(time, "ssd", action, tag, is_write, lba, n, op_id)
 
 
+@pytest.fixture
+def chunk_records(monkeypatch):
+    """Shrink the replay chunk so a few records cross chunk boundaries."""
+
+    def set_chunk(n):
+        monkeypatch.setattr(replay_mod, "CHUNK_RECORDS", n)
+
+    return set_chunk
+
+
 class TestModeSelection:
-    def test_list_defaults_to_materialized(self):
-        wl = ReplayWorkload([rec(1.0)])
-        assert not wl.streaming
-        assert len(wl.records) == 1
+    def test_generator_defaults_to_streaming(self, sim):
+        """A generator is pulled lazily: bind takes one chunk from it."""
+        pulled = []
 
-    def test_generator_defaults_to_streaming(self):
-        wl = ReplayWorkload(iter([rec(1.0)]))
-        assert wl.streaming
+        def source():
+            for i in range(CHUNK_RECORDS + 10):
+                pulled.append(i)
+                yield rec(float(i), op_id=i)
 
-    def test_list_can_be_forced_streaming(self):
-        wl = ReplayWorkload([rec(1.0)], streaming=True)
-        assert wl.streaming
-        assert not hasattr(wl, "records")
+        wl = ReplayWorkload(source())
+        assert pulled == []
+        wl.bind(sim, lambda r: None, None)
+        assert len(pulled) == CHUNK_RECORDS
+        assert sim.pending_events == CHUNK_RECORDS
+
+    def test_list_schedules_one_chunk_at_bind(self, sim):
+        """A list replays through the same chunked scheduler: bind leaves
+        one chunk on the calendar, not the whole trace."""
+        n = 2 * CHUNK_RECORDS + 5
+        wl = ReplayWorkload([rec(float(n - i), op_id=i) for i in range(n)])
+        arrivals = []
+        wl.bind(sim, lambda r: arrivals.append(sim.now), None)
+        assert sim.pending_events == CHUNK_RECORDS
+        sim.run()
+        assert arrivals == [float(t) for t in range(1, n + 1)]
+        assert wl.stats.generated == n
+        assert wl.stats.finished
 
     def test_exactly_one_source_required(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -40,24 +67,17 @@ class TestModeSelection:
         with pytest.raises(ValueError, match="exactly one"):
             ReplayWorkload([rec(1.0)], streams=[[rec(1.0)]])
 
-    def test_streams_cannot_be_materialized(self):
-        with pytest.raises(ValueError, match="always streaming"):
-            ReplayWorkload(streams=[[rec(1.0)]], streaming=False)
-
-    def test_chunk_records_validated(self):
-        with pytest.raises(ValueError):
-            ReplayWorkload(iter([]), chunk_records=0)
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             ReplayWorkload(iter([]), duration_us=-1.0)
 
 
 class TestStreamingExecution:
-    def test_arrivals_match_materialized(self, sim):
+    def test_arrivals_match_materialized(self, sim, chunk_records):
+        chunk_records(3)
         records = [rec(10.0 * i, lba=i, op_id=i) for i in range(10)]
         streamed = []
-        wl = ReplayWorkload(iter(records), chunk_records=3)
+        wl = ReplayWorkload(iter(records))
         wl.bind(sim, lambda r: streamed.append((sim.now, r.lba)), None)
         sim.run()
         assert streamed == [(10.0 * i, i) for i in range(10)]
@@ -91,7 +111,7 @@ class TestStreamingExecution:
         assert wl.stats.skipped == 2
 
     def test_time_scale_applied(self, sim):
-        wl = ReplayWorkload(iter([rec(100.0)]), time_scale=0.5)
+        wl = ReplayWorkload(time_compress(iter([rec(100.0)]), 2.0))
         arrivals = []
         wl.bind(sim, lambda r: arrivals.append(sim.now), None)
         sim.run()
@@ -115,14 +135,17 @@ class TestStreamingExecution:
 
 
 class TestChunkAtomicity:
-    def test_parse_error_mid_chunk_schedules_nothing_from_it(self, sim, tmp_path):
+    def test_parse_error_mid_chunk_schedules_nothing_from_it(
+        self, sim, tmp_path, chunk_records
+    ):
         """A malformed line surfacing mid-chunk must not leave a partial
         chunk scheduled: complete chunks replay, the failing chunk is
         atomic."""
+        chunk_records(4)
         path = tmp_path / "broken.trace"
         good = "\n".join(f"{10.0 * (i + 1)} ssd Q R R {i} 1 {i}" for i in range(6))
         path.write_text(good + "\nthis line is garbage\n")
-        wl = ReplayWorkload(iter_trace(path), chunk_records=4)
+        wl = ReplayWorkload(iter_trace(path))
         arrivals = []
         wl.bind(sim, lambda r: arrivals.append(r.lba), None)
         with pytest.raises(TraceParseError) as err:
@@ -142,17 +165,19 @@ class TestChunkAtomicity:
         sim.run()
         assert sim.events_processed == 0  # nothing was scheduled
 
-    def test_unsorted_across_chunk_boundary_rejected(self, sim):
+    def test_unsorted_across_chunk_boundary_rejected(self, sim, chunk_records):
+        chunk_records(2)
         records = [rec(10.0), rec(20.0), rec(5.0), rec(30.0)]
-        wl = ReplayWorkload(iter(records), chunk_records=2)
+        wl = ReplayWorkload(iter(records))
         wl.bind(sim, lambda r: None, None)
         with pytest.raises(ValueError, match="chunk boundary"):
             sim.run()
 
-    def test_unsorted_within_chunk_tolerated(self, sim):
+    def test_unsorted_within_chunk_tolerated(self, sim, chunk_records):
         """Within a chunk the pull sorts, so local jitter is fine."""
+        chunk_records(4)
         records = [rec(20.0, op_id=0), rec(10.0, op_id=1)]
-        wl = ReplayWorkload(iter(records), chunk_records=4)
+        wl = ReplayWorkload(iter(records))
         arrivals = []
         wl.bind(sim, lambda r: arrivals.append(sim.now), None)
         sim.run()
@@ -169,8 +194,9 @@ class TestDuration:
         wl = ReplayWorkload(synthetic_trace(10, seed=1), duration_us=123.0)
         assert wl.duration_us == 123.0
 
-    def test_single_chunk_trace_knows_duration_after_bind(self, sim):
-        wl = ReplayWorkload(iter([rec(10.0), rec(40.0)]), chunk_records=16)
+    def test_single_chunk_trace_knows_duration_after_bind(self, sim, chunk_records):
+        chunk_records(16)
+        wl = ReplayWorkload(iter([rec(10.0), rec(40.0)]))
         wl.bind(sim, lambda r: None, None)
         sim.run()
         assert wl.duration_us == 40.0
@@ -201,9 +227,10 @@ class TestMultiTenantStreams:
 
 
 class TestStreamedEqualsMaterialized:
-    def test_stats_fingerprint_identical(self):
-        """The tentpole guarantee: streamed and materialized replay of the
-        same trace produce bit-identical run statistics."""
+    def test_stats_fingerprint_identical(self, chunk_records):
+        """A list and a generator of the same trace produce bit-identical
+        run statistics."""
+        chunk_records(256)
         cfg = quick_config(7)
         horizon = 3_000 * 50.0
 
@@ -211,9 +238,7 @@ class TestStreamedEqualsMaterialized:
             return ExperimentSystem(workload, "lbica", cfg).run(until_us=horizon)
 
         materialized = run(ReplayWorkload(list(synthetic_trace(3_000, seed=7))))
-        streamed = run(
-            ReplayWorkload(synthetic_trace(3_000, seed=7), chunk_records=256)
-        )
+        streamed = run(ReplayWorkload(synthetic_trace(3_000, seed=7)))
         assert stats_fingerprint(streamed) == stats_fingerprint(materialized)
         assert streamed.workload_stats == materialized.workload_stats
 

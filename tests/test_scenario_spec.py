@@ -136,6 +136,29 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=rf"scenario 'x': {key}\b"):
             ScenarioSpec.from_dict({"name": "x", "base": "quick", "system": system})
 
+    #: Scheme-config values ``tests/test_validation_fuzz.py`` found
+    #: passing validation and then failing at build, run or inside
+    #: ``validate`` itself (a plain ``ValueError`` or ``TypeError``), or,
+    #: for ``revert_after_quiet: 1.5``, running with a float count.
+    BAD_SCHEME_VALUES = [
+        ({"lbica": {"margin": 0.5}}, "margin"),
+        ({"lbica": {"min_cache_qtime_us": -1.0}}, "min_cache_qtime_us"),
+        ({"lbica": {"max_bypass_per_round": 0}}, "max_bypass_per_round"),
+        ({"lbica": {"revert_after_quiet": "x"}}, "revert_after_quiet"),
+        ({"lbica": {"revert_after_quiet": 1.5}}, "revert_after_quiet"),
+        ({"partition": {"weights": "x"}}, "weights"),
+        ({"partition": {"weights": 3}}, "weights"),
+        ({"partition": {"weights": ["x"]}}, "weights"),
+    ]
+
+    @pytest.mark.parametrize(
+        "system,key", BAD_SCHEME_VALUES, ids=[str(v) for v, _ in BAD_SCHEME_VALUES]
+    )
+    def test_rejects_scheme_values_the_run_would(self, system, key):
+        payload = {"name": "x", "base": "quick", "workload": "web", "system": system}
+        with pytest.raises(ScenarioError, match=rf"scenario 'x': {key}\b"):
+            ScenarioSpec.from_dict(payload)
+
     #: Tick-period keys no scheme config has: every control loop runs a
     #: whole number of times per monitoring interval, so a period
     #: override must fail validation rather than be ignored.
@@ -153,6 +176,23 @@ class TestValidation:
         payload = {"name": "x", "system": {block: {key: 10_000.0}}}
         with pytest.raises(ScenarioError, match=rf"system\.{block}: .*'{key}'"):
             ScenarioSpec.from_dict(payload)
+
+    #: Replay knobs that no longer exist: a replay's chunk size is a
+    #: module constant, every input streams, and only trace operators
+    #: (``time_compress``) change timestamps.
+    @pytest.mark.parametrize(
+        "key,value",
+        [("streaming", False), ("chunk_records", 7), ("time_scale", 0.5)],
+    )
+    def test_rejects_removed_trace_keys(self, key, value):
+        scenario = json.loads((EXAMPLES / "trace_replay.json").read_text())
+        scenario["workload"]["trace"]["path"] = str(
+            _REPO / scenario["workload"]["trace"]["path"]
+        )
+        ScenarioSpec.from_dict(scenario)  # valid without the key
+        scenario["workload"]["trace"][key] = value
+        with pytest.raises(ScenarioError, match=rf"unknown keys \['{key}'\]"):
+            ScenarioSpec.from_dict(scenario)
 
     @pytest.mark.parametrize(
         "system",

@@ -5,6 +5,7 @@ import pytest
 from repro.config import quick_config
 from repro.experiments.system import ExperimentSystem
 from repro.io.request import OpTag
+from repro.trace.operators import time_compress
 from repro.trace.parser import dumps_trace, loads_trace
 from repro.trace.records import TraceRecord
 from repro.workloads.replay import ReplayWorkload
@@ -16,7 +17,7 @@ def rec(time, action="Q", tag=OpTag.READ, is_write=False, lba=0, n=1, op_id=0):
 
 
 class TestReplayFiltering:
-    def test_only_application_q_records_kept(self):
+    def test_only_application_q_records_kept(self, sim):
         records = [
             rec(1.0, "Q", OpTag.READ),
             rec(2.0, "D", OpTag.READ),  # dropped: dispatch
@@ -25,20 +26,28 @@ class TestReplayFiltering:
             rec(5.0, "Q", OpTag.WRITE, is_write=True),
         ]
         replay = ReplayWorkload(records)
-        assert len(replay.records) == 2
+        # a list is filtered at construction
+        assert replay.stats.skipped == 3
+        replay.bind(sim, lambda r: None, None)
+        sim.run()
+        assert replay.stats.generated == 2
+        assert replay.stats.skipped == 3
 
-    def test_records_sorted_by_time(self):
+    def test_records_sorted_by_time(self, sim):
         records = [rec(5.0, lba=2), rec(1.0, lba=1)]
         replay = ReplayWorkload(records)
-        assert [r.lba for r in replay.records] == [1, 2]
+        arrivals = []
+        replay.bind(sim, lambda r: arrivals.append((sim.now, r.lba)), None)
+        sim.run()
+        assert arrivals == [(1.0, 1), (5.0, 2)]
 
     def test_time_scale(self):
-        replay = ReplayWorkload([rec(100.0)], time_scale=0.5)
+        replay = ReplayWorkload(list(time_compress([rec(100.0)], 2.0)))
         assert replay.duration_us == 50.0
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
-            ReplayWorkload([], time_scale=0)
+            time_compress([], 0)
 
     def test_empty_trace_duration_zero(self):
         assert ReplayWorkload([]).duration_us == 0.0
@@ -76,9 +85,11 @@ class TestReplayExecution:
         )
         system = ExperimentSystem(workload, "wb", cfg)
         system.run()
-        replay = ReplayWorkload(loads_trace(dumps_trace(system.tracer.records)))
+        records = loads_trace(dumps_trace(system.tracer.records))
+        replay = ReplayWorkload(records)
+        arrivals = len(records) - replay.stats.skipped  # a list filters up front
         result = ExperimentSystem(replay, "wb", cfg).run()
-        assert result.workload_stats["generated"] == len(replay.records)
+        assert result.workload_stats["generated"] == arrivals
         assert result.workload_stats["throttled"] == 0
 
     def test_capture_and_replay_round_trip(self):
@@ -91,8 +102,9 @@ class TestReplayExecution:
         system = ExperimentSystem(workload, "wb", cfg)
         original = system.run()
 
-        text = dumps_trace(system.tracer.records)
-        replay = ReplayWorkload(loads_trace(text))
+        records = loads_trace(dumps_trace(system.tracer.records))
+        replay = ReplayWorkload(records)
+        arrivals = len(records) - replay.stats.skipped
         replay_system = ExperimentSystem(replay, "lbica", cfg)
         replayed = replay_system.run()
 
@@ -100,5 +112,5 @@ class TestReplayExecution:
         # merged multi-block requests make exact equality too strict;
         # the replay must reproduce the application arrival count within
         # the capture buffer's limits
-        assert replayed.completed <= len(replay.records)
+        assert replayed.completed <= arrivals
         assert replayed.completed >= original.completed * 0.5

@@ -324,7 +324,7 @@ class TestRateScaleThreading:
 
 
 class TestTraceSpecForm:
-    """The ``trace:`` spec section builds streaming ReplayWorkloads."""
+    """The ``trace:`` spec section builds ReplayWorkloads."""
 
     @staticmethod
     def trace_file(tmp_path):
@@ -346,7 +346,6 @@ class TestTraceSpecForm:
 
         wl = workload_from_spec(self.trace_spec(tmp_path), 1000.0)
         assert isinstance(wl, ReplayWorkload)
-        assert wl.streaming
         assert wl.name == "replay_test"
         wl.bind(sim, lambda r: None, None)
         sim.run()
@@ -402,24 +401,22 @@ class TestTraceSpecForm:
         with pytest.raises(SpecError, match="unknown key"):
             workload_from_spec(self.trace_spec(tmp_path, speed=9), 1000.0)
 
-    def test_interleave_forces_streaming(self, tmp_path):
-        spec = self.trace_spec(tmp_path, interleave=2, streaming=False)
-        with pytest.raises(SpecError, match="always streaming"):
-            workload_from_spec(spec, 1000.0)
-
     def test_invalid_interleave_rejected(self, tmp_path):
         with pytest.raises(SpecError, match="interleave"):
             workload_from_spec(self.trace_spec(tmp_path, interleave=0), 1000.0)
 
     def test_duration_and_chunk_forwarded(self, tmp_path):
+        """``duration_us`` reaches the replay; the chunk size is a module
+        constant, so ``chunk_records`` is an unknown key."""
+        spec = self.trace_spec(tmp_path, duration_us=5000.0)
+        assert workload_from_spec(spec, 1000.0).duration_us == 5000.0
         spec = self.trace_spec(tmp_path, duration_us=5000.0, chunk_records=7)
-        wl = workload_from_spec(spec, 1000.0)
-        assert wl.duration_us == 5000.0
-        assert wl.chunk_records == 7
+        with pytest.raises(SpecError, match="unknown keys.*chunk_records"):
+            workload_from_spec(spec, 1000.0)
 
     def test_example_scenario_spec_loads(self):
         scenario = json.loads(
             Path("examples/scenarios/trace_replay.json").read_text()
         )
         wl = workload_from_spec(scenario["workload"], 1000.0)
-        assert wl.streaming
+        assert wl.duration_us == scenario["workload"]["trace"]["duration_us"]
