@@ -12,14 +12,14 @@ properties it criticizes:
    read-after-write data can hit).  In write-heavy bursts both queues
    fill together, leaving no room to balance.
 2. **Per-request selection overhead** — each balancing round scans the
-   pending queue to estimate wait times; we charge
-   ``scan_overhead_us_per_op × pending`` and stall SSD dispatch for that
-   long, reproducing the "performance and computational overhead on the
-   operation of the queue".
+   pending queue to estimate wait times; rather than run the scan we
+   charge ``scan_overhead_us_per_op × pending`` and stall SSD dispatch
+   for that long, reproducing the "performance and computational
+   overhead on the operation of the queue".
 3. **Latency-estimate-based bypass** — in a FIFO queue the estimated wait
    grows with position, so the highest-latency requests are the tail;
    the number moved per round is what Eq. 1 says is needed to equalize
-   the two queue times.
+   the two queue times.  The Eq. 1 gate and the tail bypass are LBICA's.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.write_policy import WritePolicy
+from repro.core.bottleneck import cache_is_bottleneck
 from repro.schemes.base import Scheme
 from repro.schemes.configs import SibConfig
 from repro.schemes.registry import register_scheme
+from repro.sim.summation import left_sum
 
 __all__ = ["SibConfig", "SibController", "SibRound"]
 
@@ -84,37 +86,33 @@ class SibController(Scheme):
     # ------------------------------------------------------------------
     def on_tick(self, now: float) -> None:
         cfg = self.config
-        cache_qtime = self.ssd.queue_time()
+        ssd = self.ssd
+        cache_qtime = ssd.queue_time()
         disk_qtime = self.hdd.queue_time()
-        if (
-            cache_qtime >= cfg.min_cache_qtime_us
-            and cache_qtime > disk_qtime * cfg.margin
+        if not cache_is_bottleneck(
+            cache_qtime, disk_qtime, cfg.margin, cfg.min_cache_qtime_us
         ):
-            pending = len(self.ssd.queue.pending)
-            # Wait-time estimation pass over the whole pending queue.
-            estimates = self.ssd.queue.estimated_wait(self.ssd.avg_latency)
-            overhead = cfg.scan_overhead_us_per_op * len(estimates)
-            if overhead > 0:
-                self.ssd.pause_dispatch(overhead)
-            # Move enough tail requests to (approximately) equalize Eq. 1.
-            per_move_gain = self.ssd.avg_latency + self.hdd.avg_latency
-            want = int((cache_qtime - disk_qtime) / max(per_move_gain, 1e-9))
-            to_move = max(0, min(want, cfg.max_bypass_per_round))
-            stolen = self.ssd.queue.steal_tail(
-                to_move, now, predicate=self.controller.op_redirectable
+            return
+        # Charge SIB's wait-time estimation pass, which visits every
+        # pending op.
+        pending = len(ssd.queue.pending)
+        overhead = cfg.scan_overhead_us_per_op * pending
+        if overhead > 0:
+            ssd.pause_dispatch(overhead)
+        # Move enough tail requests to (approximately) equalize Eq. 1.
+        per_move_gain = ssd.avg_latency + self.hdd.avg_latency
+        want = int((cache_qtime - disk_qtime) / max(per_move_gain, 1e-9))
+        bypassed = self.controller.bypass_tail(min(want, cfg.max_bypass_per_round))
+        self.decisions.append(
+            SibRound(
+                time=now,
+                cache_qtime=cache_qtime,
+                disk_qtime=disk_qtime,
+                pending=pending,
+                overhead_us=overhead,
+                bypassed=bypassed,
             )
-            for op in stolen:
-                self.controller.redirect_to_disk(op)
-            self.decisions.append(
-                SibRound(
-                    time=now,
-                    cache_qtime=cache_qtime,
-                    disk_qtime=disk_qtime,
-                    pending=pending,
-                    overhead_us=overhead,
-                    bypassed=len(stolen),
-                )
-            )
+        )
 
     @property
     def total_bypassed(self) -> int:
@@ -124,7 +122,7 @@ class SibController(Scheme):
     @property
     def total_overhead_us(self) -> float:
         """Dispatch stall charged for the estimation passes over the run."""
-        return sum((r.overhead_us for r in self.decisions), 0.0)
+        return float(left_sum(r.overhead_us for r in self.decisions))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

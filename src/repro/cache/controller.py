@@ -13,7 +13,8 @@ paper's queue tags:
   write-back (``E``).
 
 The controller supports **live policy switching** (LBICA's actuator) and
-**redirection** of ops that a load balancer stole from the SSD queue
+**tail bypass**: :meth:`CacheController.bypass_tail` steals ops from the
+SSD queue tail and redirects them to the disk
 (:meth:`CacheController.redirect_to_disk`), keeping cache metadata
 consistent when writes or promotions are diverted.
 """
@@ -542,8 +543,22 @@ class CacheController:
         return True
 
     # ------------------------------------------------------------------
-    # Bypass support (used by LBICA's balancer and by SIB)
+    # Bypass support (LBICA's Group-3 rule and SIB)
     # ------------------------------------------------------------------
+    def bypass_tail(self, max_ops: int) -> int:
+        """Move up to ``max_ops`` ops from the SSD queue tail to the disk.
+
+        Steals redirectable ops (:meth:`op_redirectable`) walking from the
+        tail toward the head, re-routes each with
+        :meth:`redirect_to_disk`, and returns how many moved.
+        """
+        stolen = self.ssd.queue.steal_tail(
+            max_ops, self.sim.now, predicate=self.op_redirectable
+        )
+        for op in stolen:
+            self.redirect_to_disk(op)
+        return len(stolen)
+
     def op_redirectable(self, op: DeviceOp) -> bool:
         """Whether a pending SSD op may be redirected to the disk.
 

@@ -1,4 +1,4 @@
-"""Bottleneck detection (Section III-A, Eq. 1).
+"""Bottleneck detection (Section III-A, Eq. 1) and the Group-3 tail rule.
 
 LBICA flags the I/O cache as the performance bottleneck when the maximum
 queue time of the cache exceeds that of the disk subsystem:
@@ -6,78 +6,51 @@ queue time of the cache exceeds that of the disk subsystem:
     ``cache_Qtime = ssdQSize × ssdLatency``
     ``disk_Qtime  = hddQSize × hddLatency``
 
-The detector adds two practical knobs the paper implies but does not
-spell out:
+:func:`cache_is_bottleneck` adds two knobs the paper implies but does not
+spell out: a ``margin`` factor (1.0 is the paper's strict inequality) and
+a ``min_cache_qtime_us`` floor, so a near-idle system is not declared a
+burst.  LBICA and the SIB baseline both gate their balancing on it.
 
-- ``margin`` — the cache queue time must exceed the disk's by this factor
-  (1.0 reproduces the paper's strict inequality);
-- ``min_cache_qtime_us`` — an absolute floor so that a near-idle system
-  (three requests vs. two) is not declared a burst.
+:func:`tail_past_threshold` is Group 3's rule (Section III-C): an op at
+SSD queue position ``k`` waits ≈ ``k × ssdLatency``, so the ops beyond
+``disk_Qtime / ssdLatency`` would be served sooner by the disk.  Only
+that tail is bypassed and the head keeps cache service; the position
+follows from Eq. 1 quantities, with none of SIB's per-request estimates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["BottleneckReading", "BottleneckDetector"]
+__all__ = ["cache_is_bottleneck", "tail_past_threshold"]
 
 
-@dataclass(frozen=True)
-class BottleneckReading:
-    """One detector evaluation."""
+def cache_is_bottleneck(
+    cache_qtime: float, disk_qtime: float, margin: float, min_cache_qtime_us: float
+) -> bool:
+    """Eq. 1: the cache queue time reaches the floor and strictly exceeds
+    ``margin`` times the disk's.
 
-    time: float
-    cache_qtime: float
-    disk_qtime: float
-    is_bottleneck: bool
-
-    @property
-    def imbalance(self) -> float:
-        """``cache_Qtime / disk_Qtime`` (∞-safe: 0 disk time → large)."""
-        if self.disk_qtime <= 0.0:
-            return float("inf") if self.cache_qtime > 0 else 1.0
-        return self.cache_qtime / self.disk_qtime
-
-
-class BottleneckDetector:
-    """Eq. 1 burst detector with margin and floor.
-
-    Args:
-        margin: Required ratio ``cache_Qtime / disk_Qtime`` (≥ 1.0).
-        min_cache_qtime_us: Absolute cache-queue-time floor below which
-            no burst is ever declared.
+    >>> cache_is_bottleneck(3000.0, 1000.0, margin=1.0, min_cache_qtime_us=2000.0)
+    True
+    >>> cache_is_bottleneck(1000.0, 0.0, margin=1.0, min_cache_qtime_us=2000.0)
+    False
+    >>> cache_is_bottleneck(2000.0, 1000.0, margin=2.0, min_cache_qtime_us=0.0)
+    False
     """
+    return cache_qtime >= min_cache_qtime_us and cache_qtime > disk_qtime * margin
 
-    def __init__(self, margin: float = 1.0, min_cache_qtime_us: float = 2000.0) -> None:
-        if margin < 1.0:
-            raise ValueError("margin must be >= 1.0")
-        if min_cache_qtime_us < 0.0:
-            raise ValueError("min_cache_qtime_us must be non-negative")
-        self.margin = margin
-        self.min_cache_qtime_us = min_cache_qtime_us
-        self.readings: list[BottleneckReading] = []
 
-    def evaluate(
-        self, time: float, cache_qtime: float, disk_qtime: float
-    ) -> BottleneckReading:
-        """Evaluate Eq. 1 at ``time`` and log the reading."""
-        if cache_qtime < 0 or disk_qtime < 0:
-            raise ValueError("queue times must be non-negative")
-        is_bottleneck = (
-            cache_qtime >= self.min_cache_qtime_us
-            and cache_qtime > disk_qtime * self.margin
-        )
-        reading = BottleneckReading(time, cache_qtime, disk_qtime, is_bottleneck)
-        self.readings.append(reading)
-        return reading
+def tail_past_threshold(pending: int, disk_qtime: float, ssd_latency: float) -> int:
+    """How many of ``pending`` SSD ops sit beyond the bottleneck threshold.
 
-    @property
-    def burst_count(self) -> int:
-        """Number of readings that flagged the cache as bottleneck."""
-        return sum(1 for r in self.readings if r.is_bottleneck)
+    The threshold is ``disk_qtime / ssd_latency`` positions, at least 1,
+    with the latency estimate floored at ``1e-9`` µs.
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BottleneckDetector(margin={self.margin}, "
-            f"readings={len(self.readings)}, bursts={self.burst_count})"
-        )
+    >>> tail_past_threshold(20, disk_qtime=500.0, ssd_latency=100.0)
+    15
+    >>> tail_past_threshold(20, disk_qtime=0.0, ssd_latency=100.0)
+    19
+    >>> tail_past_threshold(3, disk_qtime=500.0, ssd_latency=100.0)
+    0
+    """
+    threshold = max(int(disk_qtime / max(ssd_latency, 1e-9)), 1)
+    return max(pending - threshold, 0)

@@ -16,7 +16,8 @@ substrate), place the running workload into one of the paper's groups:
 
 Classification uses the paper's *majority* notion: rank the four types by
 share and take the top two, with a P-dominance check first for Group 4.
-The thresholds are configurable so the ablation bench can stress them.
+The thresholds are :class:`CharacterizerConfig` fields, so a scenario
+can set them through ``system.lbica.characterizer``.
 """
 
 from __future__ import annotations

@@ -6,15 +6,17 @@ Ties the three procedures of Fig. 2 together on the simulator:
    the devices (the iostat substrate);
 2. when the cache is the bottleneck, snapshot the SSD queue's R/W/P/E
    mix (the blktrace substrate) and classify it into a workload group;
-3. assign the group's write policy, and for Group 3 run the tail-bypass
-   balancer.
+3. assign the group's write policy, and for Group 3 bypass the SSD
+   queue tail past the bottleneck threshold to the disk.
 
 Every evaluation is logged as an :class:`LbicaDecision`; the Fig. 6
 experiment renders this log directly (burst markers, detected groups,
 policy annotations).  The controller is built like every other scheme,
 ``LbicaController(config).attach(system)``; attaching takes the
-system's :class:`~repro.trace.blktrace.BlkTracer` and builds the
-tail-bypass balancer over its devices.
+system's :class:`~repro.trace.blktrace.BlkTracer`.  The Eq. 1 test
+and the tail bypass are the steps the SIB baseline shares:
+:func:`~repro.core.bottleneck.cache_is_bottleneck` and
+:meth:`~repro.cache.controller.CacheController.bypass_tail`.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.write_policy import WritePolicy
-from repro.core.balancer import TailBypassBalancer
-from repro.core.bottleneck import BottleneckDetector
+from repro.core.bottleneck import cache_is_bottleneck, tail_past_threshold
 from repro.core.characterization import QueueMix, WorkloadCharacterizer, WorkloadGroup
 from repro.core.policy_table import PolicyAction, default_policy_table
 from repro.io.request import OpTag
@@ -67,20 +68,9 @@ class LbicaController(Scheme):
     ticks_per_interval = 1
 
     def _on_attach(self, system) -> None:
-        config = self.config
         self.tracer: BlkTracer = system.tracer
-        self.detector = BottleneckDetector(
-            margin=config.margin,
-            min_cache_qtime_us=config.min_cache_qtime_us,
-        )
-        self.characterizer = WorkloadCharacterizer(config.characterizer)
+        self.characterizer = WorkloadCharacterizer(self.config.characterizer)
         self.policy_table: dict[WorkloadGroup, PolicyAction] = default_policy_table()
-        self.balancer = TailBypassBalancer(
-            self.controller,
-            self.ssd,
-            self.hdd,
-            max_bypass_per_round=config.max_bypass_per_round,
-        )
         self._quiet_streak = 0
         self._tick_count = 0
         self._group_streak: tuple[Optional[WorkloadGroup], int] = (None, 0)
@@ -107,7 +97,9 @@ class LbicaController(Scheme):
 
         cache_qtime = ssd.queue_time()
         disk_qtime = self.hdd.queue_time()
-        reading = self.detector.evaluate(now, cache_qtime, disk_qtime)
+        burst = cache_is_bottleneck(
+            cache_qtime, disk_qtime, config.margin, config.min_cache_qtime_us
+        )
 
         group: Optional[WorkloadGroup] = None
         assigned: Optional[WritePolicy] = None
@@ -131,7 +123,7 @@ class LbicaController(Scheme):
             window[OpTag.READ] += hdd_window.get(OpTag.READ, 0)
             window[OpTag.WRITE] += hdd_window.get(OpTag.WRITE, 0)
 
-        if reading.is_bottleneck:
+        if burst:
             self._quiet_streak = 0
             counts = window
             if not counts:
@@ -161,7 +153,12 @@ class LbicaController(Scheme):
                 if self.controller.set_policy(action.policy):
                     assigned = action.policy
             if action.tail_bypass:
-                bypassed = self.balancer.rebalance(now).bypassed
+                past = tail_past_threshold(
+                    len(ssd.queue.pending), self.hdd.queue_time(), ssd.avg_latency
+                )
+                bypassed = self.controller.bypass_tail(
+                    min(past, config.max_bypass_per_round)
+                )
         else:
             self._quiet_streak += 1
             revert = config.revert_after_quiet
@@ -180,7 +177,7 @@ class LbicaController(Scheme):
                 interval_index=index,
                 cache_qtime=cache_qtime,
                 disk_qtime=disk_qtime,
-                burst=reading.is_bottleneck,
+                burst=burst,
                 mix=mix_dict,
                 group=group,
                 policy_assigned=assigned,

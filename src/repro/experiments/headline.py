@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.analysis.metrics import load_reduction
 from repro.analysis.report import format_table
+from repro.core.bottleneck import cache_is_bottleneck
 from repro.experiments.runner import PAPER_WORKLOADS, ExperimentRunner
 
 __all__ = ["HeadlineReport", "generate_headline"]
@@ -88,7 +89,9 @@ def generate_headline(
         # burst intervals: where the WB run's cache queue exceeded its
         # disk queue (the unbalanced system's own Eq. 1 readings)
         burst_ivals = [
-            s.index for s in wb.samples if s.bottleneck_is_cache
+            s.index
+            for s in wb.samples
+            if cache_is_bottleneck(s.cache_qtime, s.disk_qtime, 1.0, 0.0)
         ]
         report.cache_cut_vs_wb_burst[workload] = load_reduction(
             wb.cache_load_series(), lbica.cache_load_series(), intervals=burst_ivals

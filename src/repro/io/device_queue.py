@@ -21,9 +21,10 @@ a completion or the end of a pause runs.  The queue itself answers:
   samples;
 - :meth:`snapshot_tags` — the R/W/P/E composition of the pending ops (our
   blktrace substrate);
-- :meth:`estimated_wait` — SIB's per-position wait-time estimates;
 - :meth:`steal_tail` — remove stealable ops from the tail subject to a
-  caller-supplied filter, returning them for redirection to another device.
+  caller-supplied filter, returning them for redirection to another device
+  (:meth:`CacheController.bypass_tail
+  <repro.cache.controller.CacheController.bypass_tail>` does both).
 """
 
 from __future__ import annotations
@@ -134,16 +135,6 @@ class DeviceQueue:
         for op in self.pending:
             counts[op.tag] += 1 + len(op.merged)
         return counts
-
-    def estimated_wait(self, per_op_latency: float) -> list[tuple[DeviceOp, float]]:
-        """SIB-style wait-time estimate for every pending op.
-
-        Position ``i`` in the queue waits approximately
-        ``(i + 1) × per_op_latency``.
-        """
-        return [
-            (op, (i + 1) * per_op_latency) for i, op in enumerate(self.pending)
-        ]
 
     def steal_tail(
         self,

@@ -305,8 +305,9 @@ class CapacityScheme(Scheme):
     """Shared plumbing for schemes that enforce per-tenant cache shares.
 
     Subclasses compute their share map and call
-    :meth:`_install_allocator` from ``_on_attach``; detach teardown and
-    the common allocator summary block are provided here.
+    :meth:`_install_allocator` from ``_on_attach``; detach teardown, the
+    one quota move (:meth:`_move_quota`) and the common allocator
+    summary block are provided here.
     """
 
     def __init__(self, config: Optional[SchemeConfigLike] = None) -> None:
@@ -351,6 +352,22 @@ class CapacityScheme(Scheme):
             for i, tid in enumerate(remaining):
                 self.shares[tid] += bonus + (1 if i < extra else 0)
         self.allocator.set_quotas(self.shares)
+
+    def _move_quota(
+        self, src: int, dst: int, max_step_blocks: int, min_share_blocks: int
+    ) -> tuple[int, Optional[int], Optional[int]]:
+        """Move up to ``max_step_blocks`` of share from ``src`` to ``dst``,
+        leaving ``src`` at least ``min_share_blocks``, and install the
+        shares as quotas.  ``(0, None, None)`` if ``src`` has none to give.
+        """
+        moved = min(max_step_blocks, self.shares[src] - min_share_blocks)
+        if moved <= 0:
+            return 0, None, None
+        self.shares[src] -= moved
+        self.shares[dst] += moved
+        assert self.allocator is not None  # _on_attach installed it
+        self.allocator.set_quotas(self.shares)
+        return moved, src, dst
 
     def allocator_summary(self) -> dict[str, Any]:
         """The share/occupancy/recycling counters every capacity scheme reports."""

@@ -30,6 +30,19 @@ __all__ = [
 ]
 
 
+def _validate_eq1_gate(config: SibConfig | LbicaConfig) -> None:
+    """Checks shared by the configs that feed ``cache_is_bottleneck``."""
+    for name in ("margin", "min_cache_qtime_us"):
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be finite")
+    if config.margin < 1.0:
+        raise ValueError("margin must be >= 1.0")
+    if config.min_cache_qtime_us < 0:
+        raise ValueError("min_cache_qtime_us must be non-negative")
+    if config.max_bypass_per_round <= 0:
+        raise ValueError("max_bypass_per_round must be positive")
+
+
 @dataclass
 class SibConfig:
     """SIB tuning.
@@ -57,15 +70,11 @@ class SibConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-        for name in ("scan_overhead_us_per_op", "margin", "min_cache_qtime_us"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.scan_overhead_us_per_op):
+            raise ValueError("scan_overhead_us_per_op must be finite")
         if self.scan_overhead_us_per_op < 0:
             raise ValueError("scan_overhead_us_per_op must be non-negative")
-        if self.max_bypass_per_round <= 0:
-            raise ValueError("max_bypass_per_round must be positive")
-        if self.margin < 1.0:
-            raise ValueError("margin must be >= 1.0")
+        _validate_eq1_gate(self)
 
 
 @dataclass
@@ -74,13 +83,13 @@ class LbicaConfig:
 
     Attributes:
         margin: Bottleneck margin for Eq. 1 (see
-            :class:`~repro.core.bottleneck.BottleneckDetector`).
+            :func:`~repro.core.bottleneck.cache_is_bottleneck`).
         min_cache_qtime_us: Absolute burst floor.
         characterizer: Classifier thresholds.
         max_bypass_per_round: Group-3 tail-bypass bound per tick.
         revert_after_quiet: If set, restore WB after this many consecutive
-            non-burst evaluations (the paper keeps the assigned policy;
-            this knob exists for the ablation study).
+            non-burst evaluations.  The paper keeps the assigned policy,
+            so the default is ``None``; no shipped experiment sets it.
         confirm_ticks: A policy is assigned only after the same group has
             been classified on this many consecutive burst evaluations —
             hysteresis against one noisy queue snapshot flapping the
@@ -110,15 +119,7 @@ class LbicaConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-        for name in ("margin", "min_cache_qtime_us"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.margin < 1.0:
-            raise ValueError("margin must be >= 1.0")
-        if self.min_cache_qtime_us < 0:
-            raise ValueError("min_cache_qtime_us must be non-negative")
-        if self.max_bypass_per_round <= 0:
-            raise ValueError("max_bypass_per_round must be positive")
+        _validate_eq1_gate(self)
         quiet = self.revert_after_quiet
         if quiet is not None and (type(quiet) is not int or quiet <= 0):
             raise ValueError("revert_after_quiet must be a positive int when set")

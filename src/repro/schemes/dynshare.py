@@ -9,7 +9,8 @@ tenants that convert extra blocks into hits.
 Per tick the scheme:
 
 1. reads each tenant's read hit/miss block deltas for the window off
-   the cache datapath's per-tenant counters;
+   the cache datapath's per-tenant counters (through a
+   :class:`~repro.trace.iostat.TenantWindows` with no completion hook);
 2. appends a ``(share, hit_ratio)`` point to the tenant's observed
    curve and smooths the tenant's miss pressure (missed read blocks per
    window) with an EWMA;
@@ -38,6 +39,7 @@ from typing import TYPE_CHECKING, Any
 from repro.schemes.allocation import CapacityScheme, fair_shares
 from repro.schemes.configs import DynShareConfig
 from repro.schemes.registry import register_scheme
+from repro.trace.iostat import TenantWindows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.system import ExperimentSystem
@@ -76,8 +78,6 @@ class DynamicShareScheme(CapacityScheme):
         #: Observed per-tenant hit-ratio curves: ``tenant -> [(share, hr)]``.
         self.curves: dict[int, list[tuple[int, float]]] = {}
         self._pressure: dict[int, float] = {}
-        self._prev_hits: dict[int, int] = {}
-        self._prev_misses: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def _on_attach(self, system: "ExperimentSystem") -> None:
@@ -89,21 +89,15 @@ class DynamicShareScheme(CapacityScheme):
             ),
         )
         self.curves = {tid: [] for tid in self.shares}
+        self._windows = TenantWindows(system.controller)
 
     # ------------------------------------------------------------------
     def on_tick(self, now: float) -> None:
         cfg = self.config
         tenants = sorted(self.shares)
         hit_ratios: dict[int, float] = {}
-        tenant_stats = self.controller.stats.tenants
         for tid in tenants:
-            stats = tenant_stats.get(tid)
-            hits = stats.read_hit_blocks if stats is not None else 0
-            misses = stats.read_miss_blocks if stats is not None else 0
-            d_hits = hits - self._prev_hits.get(tid, 0)
-            d_misses = misses - self._prev_misses.get(tid, 0)
-            self._prev_hits[tid] = hits
-            self._prev_misses[tid] = misses
+            _, d_hits, d_misses = self._windows.take(tid)
             window = d_hits + d_misses
             hr = d_hits / window if window else 0.0
             hit_ratios[tid] = hr
@@ -169,16 +163,7 @@ class DynamicShareScheme(CapacityScheme):
         src = min(donors, key=lambda t: (self._pressure[t], t))
         if self._pressure[dst] <= self._pressure[src]:
             return 0, None, None
-        moved = min(
-            cfg.max_step_blocks, self.shares[src] - cfg.min_share_blocks
-        )
-        if moved <= 0:
-            return 0, None, None
-        self.shares[src] -= moved
-        self.shares[dst] += moved
-        assert self.allocator is not None  # _on_attach installed it
-        self.allocator.set_quotas(self.shares)
-        return moved, src, dst
+        return self._move_quota(src, dst, cfg.max_step_blocks, cfg.min_share_blocks)
 
     # ------------------------------------------------------------------
     def summary_stats(self) -> dict[str, Any]:

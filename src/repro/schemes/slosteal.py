@@ -8,9 +8,10 @@ to the tenant violating hardest.
 
 Per tick the scheme:
 
-1. collects each tenant's windowed p99 application latency (from a
-   completion hook) and windowed read hit ratio (from the datapath's
-   per-tenant counters);
+1. takes each tenant's window from its
+   :class:`~repro.trace.iostat.TenantWindows`: the windowed p99
+   application latency (from a completion hook) and windowed read hit
+   ratio (from the datapath's per-tenant counters);
 2. scores each tenant with a **violation ratio** — how far outside its
    objectives it sits.  A tenant with declared SLO targets (the
    scenario's ``slo`` blocks, surfaced via the workload's
@@ -36,11 +37,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.analysis.metrics import percentile
-from repro.io.request import Request
 from repro.schemes.allocation import CapacityScheme, fair_shares
 from repro.schemes.configs import SloStealConfig
 from repro.schemes.registry import register_scheme
 from repro.service.slo import SloTarget
+from repro.sim.summation import left_sum
+from repro.trace.iostat import TenantWindows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.system import ExperimentSystem
@@ -80,9 +82,6 @@ class SloStealScheme(CapacityScheme):
         super().__init__(config)
         #: Declared per-tenant objectives (empty when the scenario has none).
         self.targets: dict[int, SloTarget] = {}
-        self._window: dict[int, list[float]] = {}
-        self._prev_hits: dict[int, int] = {}
-        self._prev_misses: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def _on_attach(self, system: "ExperimentSystem") -> None:
@@ -95,21 +94,16 @@ class SloStealScheme(CapacityScheme):
         )
         slo_targets = getattr(system.workload, "slo_targets", None)
         self.targets = dict(slo_targets()) if callable(slo_targets) else {}
-        system.controller.add_completion_hook(self._record_completion)
+        self._windows = TenantWindows(system.controller)
+        system.controller.add_completion_hook(self._windows.record)
 
     def _on_detach(self, system: "ExperimentSystem") -> None:
-        system.controller.remove_completion_hook(self._record_completion)
+        system.controller.remove_completion_hook(self._windows.record)
         super()._on_detach(system)
-
-    def _record_completion(self, request: Request) -> None:
-        lats = self._window.get(request.tenant_id)
-        if lats is None:
-            lats = self._window[request.tenant_id] = []
-        lats.append(request.complete_time - request.arrival)
 
     def on_tenant_departed(self, tenant_id: int) -> None:
         super().on_tenant_departed(tenant_id)
-        self._window.pop(tenant_id, None)
+        self._windows.forget(tenant_id)
 
     # ------------------------------------------------------------------
     def on_tick(self, now: float) -> None:
@@ -117,16 +111,8 @@ class SloStealScheme(CapacityScheme):
         p99s: dict[int, float] = {}
         hit_ratios: dict[int, float] = {}
         windows: dict[int, int] = {}
-        tenant_stats = self.controller.stats.tenants
         for tid in tenants:
-            lats = self._window.pop(tid, [])
-            stats = tenant_stats.get(tid)
-            hits = stats.read_hit_blocks if stats is not None else 0
-            misses = stats.read_miss_blocks if stats is not None else 0
-            d_hits = hits - self._prev_hits.get(tid, 0)
-            d_misses = misses - self._prev_misses.get(tid, 0)
-            self._prev_hits[tid] = hits
-            self._prev_misses[tid] = misses
+            lats, d_hits, d_misses = self._windows.take(tid)
             window = d_hits + d_misses
             windows[tid] = window
             p99s[tid] = percentile(lats, 99.0) if lats else 0.0
@@ -163,7 +149,7 @@ class SloStealScheme(CapacityScheme):
         tenant idle for the window scores 0 (a natural donor).
         """
         active = [p99s[t] for t in tenants if p99s[t] > 0.0]
-        fleet_mean = sum(active) / len(active) if active else 0.0
+        fleet_mean = left_sum(active) / len(active) if active else 0.0
         ratios: dict[int, float] = {}
         for tid in tenants:
             target = self.targets.get(tid)
@@ -204,14 +190,7 @@ class SloStealScheme(CapacityScheme):
         if not donors:
             return 0, None, None
         src = min(donors, key=lambda t: (ratios[t], t))
-        moved = min(cfg.max_step_blocks, self.shares[src] - cfg.min_share_blocks)
-        if moved <= 0:
-            return 0, None, None
-        self.shares[src] -= moved
-        self.shares[dst] += moved
-        assert self.allocator is not None  # _on_attach installed it
-        self.allocator.set_quotas(self.shares)
-        return moved, src, dst
+        return self._move_quota(src, dst, cfg.max_step_blocks, cfg.min_share_blocks)
 
     # ------------------------------------------------------------------
     def summary_stats(self) -> dict[str, Any]:

@@ -13,7 +13,8 @@ cache is honouring it.  This module is the data model and the tracker:
   per-objective verdicts);
 - :class:`SloMonitor` — a periodic tick (driven by the simulator, like
   the iostat monitor) that turns completion latencies and the datapath's
-  per-tenant hit/miss counters into a compliance series.
+  per-tenant hit/miss counters, read through its own
+  :class:`~repro.trace.iostat.TenantWindows`, into a compliance series.
 
 Everything here is a pure function of simulated state: the monitor reads
 ``Simulator.now``, windowed latency populations, and counter deltas, so
@@ -30,6 +31,7 @@ from repro.analysis.metrics import percentile
 from repro.cache.controller import CacheController
 from repro.io.request import Request
 from repro.sim.engine import Simulator
+from repro.trace.iostat import TenantWindows
 
 __all__ = ["ServiceError", "SloTarget", "SloSample", "SloMonitor"]
 
@@ -137,7 +139,7 @@ class SloSample:
 class SloMonitor:
     """Periodic per-tenant SLO compliance tracking.
 
-    Wire :meth:`record_completion` as a cache-controller completion hook
+    Wire :attr:`record_completion` as a cache-controller completion hook
     and call :meth:`start` once the simulator is about to run; every
     ``interval_us`` the monitor closes the window, judges each tracked
     tenant against its target, and appends one :class:`SloSample` per
@@ -173,28 +175,18 @@ class SloMonitor:
             if tid < 0:
                 raise ServiceError("slo monitor: tenant ids must be non-negative")
         self.sim = sim
-        self.controller = controller
         self.targets = dict(targets)
         self.interval_us = float(interval_us)
         self.activity_probe = activity_probe
         self.samples: list[SloSample] = []
         self.violations: dict[int, int] = {tid: 0 for tid in sorted(self.targets)}
         self.intervals: dict[int, int] = {tid: 0 for tid in sorted(self.targets)}
-        self._window: dict[int, list[float]] = {}
-        self._prev_hits: dict[int, int] = {}
-        self._prev_misses: dict[int, int] = {}
+        self._windows = TenantWindows(controller, tenants=self.targets)
+        #: Completion hook collecting the tracked tenants' latencies.
+        self.record_completion: Callable[[Request], None] = self._windows.record
         self._started = False
 
     # ------------------------------------------------------------------
-    def record_completion(self, request: Request) -> None:
-        """Completion hook: collect the window's per-tenant latencies."""
-        if request.tenant_id not in self.targets:
-            return
-        lats = self._window.get(request.tenant_id)
-        if lats is None:
-            lats = self._window[request.tenant_id] = []
-        lats.append(request.complete_time - request.arrival)
-
     def start(self) -> None:
         """Begin the periodic compliance tick (idempotent)."""
         if self._started:
@@ -206,16 +198,8 @@ class SloMonitor:
     def _tick(self) -> None:
         now = self.sim.now
         probe = self.activity_probe
-        tenant_stats = self.controller.stats.tenants
         for tid in sorted(self.targets):
-            lats = self._window.pop(tid, [])
-            stats = tenant_stats.get(tid)
-            hits = stats.read_hit_blocks if stats is not None else 0
-            misses = stats.read_miss_blocks if stats is not None else 0
-            d_hits = hits - self._prev_hits.get(tid, 0)
-            d_misses = misses - self._prev_misses.get(tid, 0)
-            self._prev_hits[tid] = hits
-            self._prev_misses[tid] = misses
+            lats, d_hits, d_misses = self._windows.take(tid)
             if probe is not None and not probe(tid):
                 continue
             target = self.targets[tid]

@@ -12,17 +12,23 @@ emits an :class:`IntervalSample` carrying queue depths (max and
 time-weighted average over the window, matching how the paper reports
 "maximum latency" per 10-minute interval), latency estimates, Eq. 1 queue
 times, and completed-request latency statistics for that interval.
+
+:class:`TenantWindows` is the per-tenant counterpart that the SLO
+monitor, ``dynshare`` and ``slosteal`` read on their own ticks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.devices.base import StorageDevice
 from repro.io.request import Request
 
-__all__ = ["IostatMonitor", "IntervalSample", "eq1_queue_time"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cache.controller import CacheController
+
+__all__ = ["IostatMonitor", "IntervalSample", "TenantWindows", "eq1_queue_time"]
 
 
 def eq1_queue_time(qsize: float, latency_us: float) -> float:
@@ -68,11 +74,6 @@ class IntervalSample:
     tenant_completed: dict[int, int] = field(default_factory=dict)
     tenant_avg_latency: dict[int, float] = field(default_factory=dict)
 
-    @property
-    def bottleneck_is_cache(self) -> bool:
-        """Whether the cache was the bottleneck this interval (Eq. 1)."""
-        return self.cache_qtime > self.disk_qtime
-
 
 @dataclass(slots=True)
 class _WindowAccum:
@@ -111,6 +112,51 @@ class _WindowAccum:
         else:
             slot[0] += 1
             slot[1] += lat
+
+
+class TenantWindows:
+    """Per-tenant latency and read hit/miss windows for one consumer.
+
+    A consumer closes a tenant's window on its own tick with
+    :meth:`take`.  The hit/miss deltas come from the datapath's
+    per-tenant counters; latencies only from :meth:`record`, wired as a
+    completion hook by the consumers that need them.  ``tenants``, if
+    given, limits :meth:`record` to those tenants.
+    """
+
+    def __init__(
+        self, controller: CacheController, tenants: Optional[Iterable[int]] = None
+    ) -> None:
+        self.controller = controller
+        self.tenants = None if tenants is None else frozenset(tenants)
+        self._latencies: dict[int, list[float]] = {}
+        #: ``tenant_id -> (read_hit_blocks, read_miss_blocks)`` at its last take.
+        self._read_blocks: dict[int, tuple[int, int]] = {}
+
+    def record(self, request: Request) -> None:
+        """Completion hook: add the request's latency to its tenant's window."""
+        tenant_id = request.tenant_id
+        if self.tenants is not None and tenant_id not in self.tenants:
+            return
+        lats = self._latencies.get(tenant_id)
+        if lats is None:
+            lats = self._latencies[tenant_id] = []
+        lats.append(request.complete_time - request.arrival)
+
+    def take(self, tenant_id: int) -> tuple[list[float], int, int]:
+        """``(latencies, read-hit delta, read-miss delta)`` since the
+        tenant's previous take, which starts its next window."""
+        lats = self._latencies.pop(tenant_id, [])
+        stats = self.controller.stats.tenants.get(tenant_id)
+        hits = stats.read_hit_blocks if stats is not None else 0
+        misses = stats.read_miss_blocks if stats is not None else 0
+        prev_hits, prev_misses = self._read_blocks.get(tenant_id, (0, 0))
+        self._read_blocks[tenant_id] = (hits, misses)
+        return lats, hits - prev_hits, misses - prev_misses
+
+    def forget(self, tenant_id: int) -> None:
+        """Drop the tenant's recorded latencies (it departed)."""
+        self._latencies.pop(tenant_id, None)
 
 
 class IostatMonitor:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
+import math
+
 import pytest
 
 from repro.cache.controller import CacheController
@@ -48,3 +51,51 @@ def controller(sim, ssd, hdd, store) -> CacheController:
 def drain(sim: Simulator) -> None:
     """Run the simulator until no events remain."""
     sim.run()
+
+
+_interpreter_sum = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum()`` as Python 3.12 computes it over ints and floats.
+
+    Ints add exactly up to the first float; from there on, 3.12 adds
+    floats with Neumaier's compensation (gh-100425) and adds the
+    accumulated correction at the end.  Any other input goes to the
+    running interpreter's ``sum``.
+    """
+    items = list(iterable)
+    numbers = (int, float, bool)
+    if type(start) not in numbers or any(type(x) not in numbers for x in items):
+        return _interpreter_sum(items, start)
+    total = start
+    rest = iter(items)
+    if type(total) is int:
+        for x in rest:
+            total = total + x
+            if type(x) is float:
+                break
+        else:
+            return total
+    correction = 0.0
+    for x in rest:
+        x = float(x)
+        t = total + x
+        if abs(total) >= abs(x):
+            correction += (total - t) + x
+        else:
+            correction += (x - t) + total
+        total = t
+    if correction and math.isfinite(correction):
+        total += correction
+    return total
+
+
+@pytest.fixture
+def python312_sum(monkeypatch):
+    """Patch ``builtins.sum`` to Python 3.12's compensated sum for the test.
+
+    Returns the emulation, so a test can also call it directly.
+    """
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    return compensated_sum

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.baselines.sib import SibConfig, SibController
+from repro.baselines.sib import SibConfig, SibController, SibRound
 from repro.baselines.wb import WbBaseline
 from repro.cache.write_policy import WritePolicy
 from repro.io.request import Request
@@ -119,6 +119,15 @@ class TestSibController:
         assert sib.decisions[0].overhead_us == pytest.approx(
             5.0 * sib.decisions[0].pending, rel=0.5
         )
+
+    def test_total_overhead_does_not_depend_on_the_interpreter(self, python312_sum):
+        sib = SibController()
+        sib.decisions = [SibRound(0.0, 0.0, 0.0, 0, 0.1, 0)] * 10
+        left_fold = 0.0
+        for _ in range(10):
+            left_fold += 0.1
+        assert python312_sum([0.1] * 10) != left_fold
+        assert sib.total_overhead_us == left_fold
 
     def test_idle_when_disk_is_bottleneck(self, sim, controller, ssd, hdd):
         sib = self._build(sim, controller, ssd, hdd)

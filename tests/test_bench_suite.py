@@ -9,10 +9,8 @@ trips these tests; a pure performance optimization must keep them green
 
 from __future__ import annotations
 
-import builtins
 import importlib.util
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -37,44 +35,6 @@ def _normalized(stats: dict) -> dict:
     return json.loads(json.dumps(stats, sort_keys=True))
 
 
-_interpreter_sum = builtins.sum
-
-
-def _compensated_sum(iterable, /, start=0):
-    """``sum()`` as Python 3.12 computes it over ints and floats.
-
-    Ints add exactly up to the first float; from there on, 3.12 adds
-    floats with Neumaier's compensation (gh-100425) and adds the
-    accumulated correction at the end.  Any other input goes to the
-    running interpreter's ``sum``.
-    """
-    items = list(iterable)
-    numbers = (int, float, bool)
-    if type(start) not in numbers or any(type(x) not in numbers for x in items):
-        return _interpreter_sum(items, start)
-    total = start
-    rest = iter(items)
-    if type(total) is int:
-        for x in rest:
-            total = total + x
-            if type(x) is float:
-                break
-        else:
-            return total
-    correction = 0.0
-    for x in rest:
-        x = float(x)
-        t = total + x
-        if abs(total) >= abs(x):
-            correction += (total - t) + x
-        else:
-            correction += (x - t) + total
-        total = t
-    if correction and math.isfinite(correction):
-        total += correction
-    return total
-
-
 class TestGoldenStats:
     def test_golden_covers_all_scenarios(self):
         assert set(GOLDEN["scenarios"]) == set(suite.SCENARIOS)
@@ -92,11 +52,10 @@ class TestGoldenStats:
             "benchmarks/golden/suite_quick.json`"
         )
 
-    def test_golden_matches_under_python312_sum(self, monkeypatch):
+    def test_golden_matches_under_python312_sum(self, python312_sum):
         # The golden must not depend on the interpreter: under 3.12's
         # compensated sum() every fingerprint field still matches.
         name = "consolidated3_dynshare"
-        monkeypatch.setattr(builtins, "sum", _compensated_sum)
         stats = suite.run_scenario(name, quick_config(GOLDEN["seed"]))
         assert _normalized(stats) == GOLDEN["scenarios"][name]
 
@@ -109,10 +68,10 @@ class TestGoldenStats:
 
 
 class TestLeftSum:
-    def test_is_the_uncompensated_fold(self):
+    def test_is_the_uncompensated_fold(self, python312_sum):
         values = [1e16, 1.0, -1e16]
         assert left_sum(values) == (1e16 + 1.0) - 1e16 == 0.0
-        assert _compensated_sum(values) == 1.0
+        assert python312_sum(values) == 1.0
 
     def test_empty_input_gives_int_zero(self):
         assert left_sum([]) == 0 and type(left_sum([])) is int

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines.sib import SibConfig
 from repro.cache.write_policy import WritePolicy
-from repro.core.balancer import TailBypassBalancer
-from repro.core.bottleneck import BottleneckDetector
+from repro.core.bottleneck import cache_is_bottleneck, tail_past_threshold
 from repro.core.characterization import (
     CharacterizerConfig,
     QueueMix,
@@ -28,41 +28,41 @@ def counts(r=0, w=0, p=0, e=0) -> Counter:
 
 class TestBottleneckDetector:
     def test_cache_bottleneck_when_cache_qtime_larger(self):
-        det = BottleneckDetector(min_cache_qtime_us=0.0)
-        assert det.evaluate(0.0, 1000.0, 500.0).is_bottleneck
-        assert not det.evaluate(1.0, 500.0, 1000.0).is_bottleneck
+        assert cache_is_bottleneck(1000.0, 500.0, 1.0, 0.0)
+        assert not cache_is_bottleneck(500.0, 1000.0, 1.0, 0.0)
 
     def test_floor_suppresses_noise(self):
-        det = BottleneckDetector(min_cache_qtime_us=2000.0)
-        assert not det.evaluate(0.0, 1000.0, 0.0).is_bottleneck
-        assert det.evaluate(1.0, 3000.0, 0.0).is_bottleneck
+        assert not cache_is_bottleneck(1000.0, 0.0, 1.0, 2000.0)
+        assert cache_is_bottleneck(3000.0, 0.0, 1.0, 2000.0)
 
     def test_margin(self):
-        det = BottleneckDetector(margin=2.0, min_cache_qtime_us=0.0)
-        assert not det.evaluate(0.0, 1500.0, 1000.0).is_bottleneck
-        assert det.evaluate(1.0, 2500.0, 1000.0).is_bottleneck
+        assert not cache_is_bottleneck(1500.0, 1000.0, 2.0, 0.0)
+        assert cache_is_bottleneck(2500.0, 1000.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "cache_qtime,disk_qtime,margin,floor,expected",
+        [
+            (1000.0, 1000.0, 1.0, 0.0, False),  # Eq. 1 is strict
+            (2000.0, 1000.0, 2.0, 0.0, False),  # so is the margin
+            (2000.0001, 1000.0, 2.0, 0.0, True),
+            (2000.0, 0.0, 1.0, 2000.0, True),  # the floor is inclusive
+            (1999.0, 0.0, 1.0, 2000.0, False),
+            (0.0, 0.0, 1.0, 0.0, False),  # an idle system is no burst
+        ],
+    )
+    def test_eq1_boundaries(self, cache_qtime, disk_qtime, margin, floor, expected):
+        assert cache_is_bottleneck(cache_qtime, disk_qtime, margin, floor) is expected
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            BottleneckDetector(margin=0.5)
-        with pytest.raises(ValueError):
-            BottleneckDetector(min_cache_qtime_us=-1)
-        det = BottleneckDetector()
-        with pytest.raises(ValueError):
-            det.evaluate(0.0, -1.0, 0.0)
-
-    def test_imbalance_ratio(self):
-        det = BottleneckDetector(min_cache_qtime_us=0.0)
-        r = det.evaluate(0.0, 2000.0, 1000.0)
-        assert r.imbalance == pytest.approx(2.0)
-        r0 = det.evaluate(1.0, 2000.0, 0.0)
-        assert r0.imbalance == float("inf")
-
-    def test_burst_count(self):
-        det = BottleneckDetector(min_cache_qtime_us=0.0)
-        det.evaluate(0.0, 10.0, 1.0)
-        det.evaluate(1.0, 1.0, 10.0)
-        assert det.burst_count == 1
+        # Both configs feed cache_is_bottleneck, so both reject the same
+        # margin and floor with the same messages.
+        for config_cls in (LbicaConfig, SibConfig):
+            with pytest.raises(ValueError, match="margin must be >= 1.0"):
+                config_cls(margin=0.5).validate()
+            with pytest.raises(
+                ValueError, match="min_cache_qtime_us must be non-negative"
+            ):
+                config_cls(min_cache_qtime_us=-1).validate()
 
 
 class TestCharacterizer:
@@ -162,40 +162,73 @@ class TestPolicyTable:
 
 
 class TestBalancer:
+    """The balance step: LBICA's Group-3 tail rule and the tail bypass."""
+
+    @pytest.mark.parametrize(
+        "pending,disk_qtime,ssd_latency,expected",
+        [
+            (10, 350.0, 100.0, 7),  # threshold = int(3.5) positions
+            (3, 500.0, 100.0, 0),  # the whole queue is below threshold
+            (0, 0.0, 100.0, 0),
+            (10, 100.0, 0.0, 0),  # a zero latency estimate is guarded
+        ],
+    )
+    def test_tail_past_threshold(self, pending, disk_qtime, ssd_latency, expected):
+        assert tail_past_threshold(pending, disk_qtime, ssd_latency) == expected
+
     def test_threshold_from_disk_queue_time(self, sim, controller, ssd, hdd):
-        balancer = TailBypassBalancer(controller, ssd, hdd)
-        # empty disk queue → threshold floor of 1
-        assert balancer.threshold_ops() >= 1
+        # empty disk queue → threshold floor of 1: all but the head op
+        assert hdd.queue_time() == 0.0
+        assert tail_past_threshold(5, hdd.queue_time(), ssd.avg_latency) == 4
 
     def test_rebalance_moves_tail_writes(self, sim, controller, ssd, hdd):
-        balancer = TailBypassBalancer(controller, ssd, hdd, max_bypass_per_round=4)
         # spaced addresses: contiguous ones would merge in the queue
         reqs = [Request(0.0, 100 + i * 50, 1, True) for i in range(10)]
         for r in reqs:
             controller.submit(r)
-        event = balancer.rebalance(0.0)
-        assert event.bypassed > 0
-        assert balancer.total_bypassed == event.bypassed
+        stolen_before = ssd.queue.stats.stolen
+        moved = controller.bypass_tail(4)
+        assert moved == 4
+        assert ssd.queue.stats.stolen - stolen_before == moved
         sim.run()
         assert all(r.done for r in reqs)
-        assert any(r.bypassed for r in reqs)
+        assert [r.bypassed for r in reqs] == [False] * 6 + [True] * 4
 
     def test_rebalance_respects_bound(self, sim, controller, ssd, hdd):
-        balancer = TailBypassBalancer(controller, ssd, hdd, max_bypass_per_round=2)
         for i in range(20):
             controller.submit(Request(0.0, 2000 + i * 50, 1, True))
-        event = balancer.rebalance(0.0)
-        assert event.bypassed <= 2
+        assert controller.bypass_tail(2) == 2
+        assert controller.bypass_tail(0) == 0
+        assert ssd.queue.stats.stolen == 2
+
+    def test_moves_only_redirectable_ops(self, sim, controller, ssd, hdd, store):
+        # A read of a dirty block has its only valid copy on the SSD.
+        store.insert(900, 0.0, dirty=True)
+        writes = [Request(0.0, 100 + i * 50, 1, True) for i in range(3)]
+        for r in writes:
+            controller.submit(r)
+        dirty_read = Request(0.0, 900, 1, False)
+        controller.submit(dirty_read)
+        assert controller.bypass_tail(10) == 2  # the head write is in flight
+        assert [op.request for op in ssd.queue.pending] == [dirty_read]
+        sim.run()
+        assert not dirty_read.bypassed
+        assert [r.bypassed for r in writes] == [False, True, True]
 
     def test_no_candidates_below_threshold(self, sim, controller, ssd, hdd):
-        balancer = TailBypassBalancer(controller, ssd, hdd)
         controller.submit(Request(0.0, 300, 1, True))
-        event = balancer.rebalance(0.0)
-        assert event.bypassed == 0
+        past = tail_past_threshold(
+            len(ssd.queue.pending), hdd.queue_time(), ssd.avg_latency
+        )
+        assert past == 0
+        assert controller.bypass_tail(past) == 0
 
-    def test_invalid_bound(self, sim, controller, ssd, hdd):
-        with pytest.raises(ValueError):
-            TailBypassBalancer(controller, ssd, hdd, max_bypass_per_round=0)
+    def test_invalid_bound(self):
+        for config_cls in (LbicaConfig, SibConfig):
+            with pytest.raises(
+                ValueError, match="max_bypass_per_round must be positive"
+            ):
+                config_cls(max_bypass_per_round=0).validate()
 
 
 class TestLbicaController:

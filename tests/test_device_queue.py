@@ -221,15 +221,6 @@ class TestStealTail:
         assert [o.lba for o in dev.queue.pending] == [0, 1, 3, 5]
 
 
-class TestEstimatedWait:
-    def test_position_scaled_estimates(self):
-        dev = device(pause_us=HOLD_US)
-        for i in range(3):
-            dev.submit(op(lba=i * 10))
-        est = dev.queue.estimated_wait(100.0)
-        assert [w for _, w in est] == [100.0, 200.0, 300.0]
-
-
 class TestOccupancyWindows:
     def test_window_max_tracks_peak(self):
         dev = device(service_us=1.0, pause_us=3.0)

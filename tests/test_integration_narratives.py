@@ -5,10 +5,13 @@ expected physics is computable by hand, and assert the *mechanism*, not
 tuned magnitudes.
 """
 
+import pytest
+
 from repro.cache.controller import CacheController
 from repro.cache.store import CacheStore
 from repro.cache.write_policy import WritePolicy
 from repro.config import quick_config
+from repro.core.bottleneck import tail_past_threshold
 from repro.devices.base import StorageDevice
 from repro.devices.hdd import HddConfig, HddModel
 from repro.devices.ssd import SsdConfig, SsdModel
@@ -83,13 +86,13 @@ class TestTailBypassKeepsHead:
 
     def test_head_requests_not_bypassed(self):
         sim, ssd, hdd, store, controller = micro_system(WritePolicy.WB)
-        from repro.core.balancer import TailBypassBalancer
-
-        balancer = TailBypassBalancer(controller, ssd, hdd, max_bypass_per_round=8)
         reqs = [Request(0.0, 100 + i * 50, 1, True) for i in range(20)]
         for r in reqs:
             controller.submit(r)
-        balancer.rebalance(0.0)
+        past = tail_past_threshold(
+            len(ssd.queue.pending), hdd.queue_time(), ssd.avg_latency
+        )
+        controller.bypass_tail(min(past, 8))
         sim.run()
         head = reqs[:2]
         tail = reqs[-2:]
@@ -97,6 +100,18 @@ class TestTailBypassKeepsHead:
         assert any(r.bypassed for r in reqs)
         # bypassed requests were still served correctly
         assert all(r.done for r in reqs)
+
+
+class TestBypassConservation:
+    """Every op the SSD queue counts as stolen is one a scheme logged."""
+
+    @pytest.mark.parametrize("scheme", ["lbica", "sib"])
+    @pytest.mark.parametrize("workload", ["mail", "web"])
+    def test_logged_bypasses_equal_stolen_ops(self, workload, scheme):
+        result = ExperimentSystem.build(workload, scheme, quick_config(7)).run()
+        bypassed = sum(d.bypassed for d in result.scheme_decisions)
+        assert bypassed > 0
+        assert bypassed == result.ssd_queue_stats["stolen"]
 
 
 class TestSyntheticGroupDetection:

@@ -490,11 +490,22 @@ class TestSloStealScheme:
         with pytest.raises(ValueError):
             SloStealConfig(donor_headroom=1.5).validate()
 
+    def test_violation_ratios_do_not_depend_on_the_interpreter(self, python312_sum):
+        # The fleet-mean p99 of (0.1, 0.2, 0.3) rounds up under a left
+        # fold and down under 3.12's compensated sum(), which would move
+        # tenant 1 across the violation boundary.
+        p99s = {0: 0.1, 1: 0.2, 2: 0.3}
+        idle = dict.fromkeys(p99s, 0)
+        ratios = SloStealScheme()._violation_ratios([0, 1, 2], p99s, idle, idle)
+        fleet_mean = (0.1 + 0.2 + 0.3) / 3
+        assert ratios == {tid: p99 / fleet_mean for tid, p99 in p99s.items()}
+        assert ratios[1] < 1.0
+
     def test_detach_removes_completion_hook(self):
         system = ExperimentSystem.build(
             "consolidated3", "slosteal", quick_config()
         )
-        hook = system.balancer._record_completion
+        hook = system.balancer._windows.record
         assert hook in system.controller._completion_hooks
         system.balancer.detach()
         assert hook not in system.controller._completion_hooks

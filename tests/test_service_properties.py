@@ -19,6 +19,7 @@ from repro.cache.store import CacheStore
 from repro.devices.base import StorageDevice
 from repro.devices.hdd import HddConfig, HddModel
 from repro.devices.ssd import SsdConfig, SsdModel
+from repro.io.request import Request
 from repro.schemes.allocation import CapacityScheme, QuotaAllocator, fair_shares
 from repro.service import (
     ChurnManager,
@@ -478,6 +479,28 @@ class TestChurnManager:
         assert scheme.allocator.occupancy().get(1, 0) == 0
         assert scheme.shares == {0: 64}  # the freed share moved to vm0
         assert scheme.allocator.quotas == {0: 64}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_miss_read_done promotes a read miss that completes after "
+        "its tenant's region was reclaimed and its quota released: admit "
+        "gives the released tenant the default quota again",
+    )
+    def test_miss_in_flight_at_departure_is_not_promoted(self):
+        sim, store, controller = _mini_system()
+        allocator = QuotaAllocator(store, default_quota_blocks=32)
+        allocator.set_quotas({0: 32, 1: 32})
+        controller.allocator = allocator
+        lba = _REGION + 5
+        miss = Request(0.0, lba, 1, False, tenant_id=1)
+        controller.submit(miss)  # the HDD read is in flight
+        # what ChurnManager._depart and CapacityScheme.on_tenant_departed do
+        controller.reclaim_range(_REGION, 2 * _REGION)
+        allocator.release_tenant(1)
+        sim.run()
+        assert miss.done
+        assert store.peek(lba) is None
+        assert allocator.occupancy() == {}
 
     def test_migration_reclaims_then_rewarms_clean(self):
         sim, store, controller = _mini_system()

@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
+from repro.core.bottleneck import cache_is_bottleneck
 from repro.io.request import DeviceOp, OpTag, Request
 from repro.trace.blktrace import BlkTracer
-from repro.trace.iostat import IostatMonitor, eq1_queue_time
+from repro.trace.iostat import IostatMonitor, TenantWindows, eq1_queue_time
 from repro.trace.parser import (
     TraceParseError,
     dumps_trace,
@@ -209,7 +210,8 @@ class TestIostatMonitor:
         for i in range(50):
             ssd.submit(read_op(i * 100))
         sim.run(until=100.0)
-        assert monitor.samples[0].bottleneck_is_cache
+        sample = monitor.samples[0]
+        assert cache_is_bottleneck(sample.cache_qtime, sample.disk_qtime, 1.0, 0.0)
 
     def test_invalid_interval_rejected(self, sim, ssd, hdd):
         with pytest.raises(ValueError):
@@ -223,6 +225,50 @@ class TestIostatMonitor:
         sim.run(until=250.0)
         assert seen == monitor.samples
         assert len(seen) == 2
+
+
+def completed(tenant_id, arrival, complete_time):
+    request = Request(arrival, 0, 1, False, tenant_id=tenant_id)
+    request.complete_time = complete_time
+    return request
+
+
+class TestTenantWindows:
+    def test_take_closes_only_that_tenants_window(self, controller):
+        windows = TenantWindows(controller)
+        windows.record(completed(0, 0.0, 5.0))
+        windows.record(completed(1, 1.0, 4.0))
+        stats = controller.stats.tenant(0)
+        stats.read_hit_blocks, stats.read_miss_blocks = 3, 1
+        assert windows.take(0) == ([5.0], 3, 1)
+        assert windows.take(0) == ([], 0, 0)
+        stats.read_hit_blocks += 2
+        assert windows.take(0) == ([], 2, 0)
+        assert windows.take(1) == ([3.0], 0, 0)
+
+    def test_each_consumer_has_its_own_windows(self, controller):
+        first, second = TenantWindows(controller), TenantWindows(controller)
+        controller.stats.tenant(0).read_miss_blocks = 2
+        assert first.take(0) == ([], 0, 2)
+        assert second.take(0) == ([], 0, 2)
+
+    def test_tenant_filter(self, controller):
+        windows = TenantWindows(controller, tenants=[1])
+        windows.record(completed(0, 0.0, 1.0))
+        windows.record(completed(1, 0.0, 2.0))
+        assert windows.take(0) == ([], 0, 0)
+        assert windows.take(1) == ([2.0], 0, 0)
+
+    def test_forget_drops_pending_latencies(self, controller):
+        windows = TenantWindows(controller)
+        stats = controller.stats.tenant(2)
+        stats.read_hit_blocks = 4
+        windows.take(2)
+        windows.record(completed(2, 0.0, 7.0))
+        stats.read_hit_blocks += 1
+        windows.forget(2)
+        # the latencies go; the counter baseline stays
+        assert windows.take(2) == ([], 1, 0)
 
 
 class TestTraceParser:
